@@ -9,7 +9,7 @@ and thresholding plus arbitration yields one logged behavior decision.
 from .appraisal import (AppraisalWeights, ChannelActivations, CognitiveOutput,
                         DEFAULT_WEIGHTS, ea_activations, fuse, p_activations)
 from .behavior import (BehaviorDecision, Engine, EventLog, crisp_inputs,
-                       log_append, log_read)
+                       log_read)
 from .config import EngineConfig, default_config, load_config
 from .errors import (CarebotError, ConfigError, Diagnostic, EvaluationError,
                      RuleBaseError, RuleSyntaxError, RuleValidationError,
@@ -81,7 +81,6 @@ __all__ = [
     "load_config",
     "load_fixture",
     "load_trace",
-    "log_append",
     "log_read",
     "membership_degree",
     "p_activations",

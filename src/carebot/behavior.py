@@ -210,6 +210,7 @@ class EventLog:
         self.path = Path(path)
         self._count = 0
         self._last_timestamp = None
+        line = "\n"
         if self.path.exists():
             with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
                 for line in handle:
@@ -224,9 +225,13 @@ class EventLog:
                     except json.JSONDecodeError:
                         pass
         self._handle = open(self.path, "a", encoding="utf-8")
+        # A write cut short left a torn last line; start on a fresh one so the
+        # next record is not glued onto it.
+        if not line.endswith("\n"):
+            self._handle.write("\n")
 
     def append(self, event: PerceptionEvent, decision: BehaviorDecision) -> int:
-        """Durably append one record; returns its 1-based position."""
+        """Append and flush one record; returns its 1-based position."""
         if self._handle.closed:
             raise ValidationError("log is closed")
         if self._last_timestamp is not None and decision.timestamp < self._last_timestamp:
@@ -254,11 +259,6 @@ class EventLog:
 
     def __len__(self):
         return self._count
-
-
-def log_append(log: EventLog, event: PerceptionEvent,
-               decision: BehaviorDecision) -> int:
-    return log.append(event, decision)
 
 
 def log_read(path, start: float | None = None, end: float | None = None,

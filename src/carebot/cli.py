@@ -8,7 +8,6 @@ wall-clock banner line.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime
 
@@ -78,7 +77,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--deterministic", action="store_true",
                      help="suppress the wall-clock banner for reproducible output")
     sim.add_argument("--parallel", type=_positive_int, metavar="N",
-                     help="decide events on N worker threads (log order is unchanged)")
+                     help="accepted for compatibility; has no effect (events are decided serially)")
     sim.set_defaults(func=cmd_simulate)
 
     chk = sub.add_parser("check", help="validate a rule file and print its canonical form")
@@ -110,17 +109,17 @@ def _print_diagnostics(path, diagnostics, stream=None):
 
 
 def _build_engine(args) -> tuple[Engine, EngineConfig]:
-    config = load_config(args.config) if getattr(args, "config", None) else default_config()
-    if getattr(args, "weights", None) is not None:
+    config = load_config(args.config) if args.config else default_config()
+    if args.weights is not None:
         ea, fkbs, p = args.weights
         config = replace(config, weights=AppraisalWeights(w_ea=ea, w_fkbs=fkbs, w_p=p))
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         config = replace(config,
                          thresholds={channel: args.threshold for channel in ACTION_CHANNELS})
-    if getattr(args, "resolution", None) is not None:
+    if args.resolution is not None:
         config = replace(config, resolution=args.resolution)
 
-    rules_path = getattr(args, "rules", None) or config.rules_path
+    rules_path = args.rules or config.rules_path
     if rules_path:
         with open(rules_path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -153,11 +152,7 @@ def cmd_simulate(args) -> int:
     if not args.deterministic:
         print(f"run started {datetime.now().isoformat(timespec='seconds')}")
 
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            decisions = list(pool.map(engine.decide, trace.events))
-    else:
-        decisions = [engine.decide(event) for event in trace.events]
+    decisions = [engine.decide(event) for event in trace.events]
 
     log_path = args.log or config.log_path
     log = EventLog(log_path) if log_path else None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .appraisal import AppraisalWeights, DEFAULT_WEIGHTS
-from .errors import CarebotError, ConfigError
+from .errors import CarebotError, ConfigError, is_number
 from .fuzzy import (MembershipFunction, LinguisticVariable,
                     default_input_variables, triangle, trapezoid)
 from .inference import ACTION_CHANNELS, DEFAULT_RESOLUTION
@@ -52,6 +52,9 @@ def _parse_weights(raw) -> AppraisalWeights:
     missing = set(_WEIGHT_KEYS) - set(data)
     if missing:
         raise ConfigError(f"weights must name all of {list(_WEIGHT_KEYS)}, missing {sorted(missing)}")
+    for key in _WEIGHT_KEYS:
+        if not is_number(data[key]):
+            raise ConfigError(f"weights.{key} must be a number, got {data[key]!r}")
     return AppraisalWeights(w_ea=float(data["ea"]), w_fkbs=float(data["fkbs"]),
                             w_p=float(data["p"]))
 
@@ -78,7 +81,7 @@ def _parse_mf(raw, context: str) -> MembershipFunction:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     shape = data.get("shape")
     params = data.get("params")
-    if not isinstance(params, list) or not all(isinstance(p, (int, float)) for p in params):
+    if not isinstance(params, list) or not all(is_number(p) for p in params):
         raise ConfigError(f"{context}: params must be a list of numbers")
     values = [float(p) for p in params]
     try:
@@ -102,7 +105,7 @@ def _parse_variable(name: str, raw) -> LinguisticVariable:
         raise ConfigError(f"variables.{name}: unknown keys {sorted(unknown)}")
     universe = data.get("universe")
     if (not isinstance(universe, list) or len(universe) != 2
-            or not all(isinstance(v, (int, float)) for v in universe)):
+            or not all(is_number(v) for v in universe)):
         raise ConfigError(f"variables.{name}: universe must be [lo, hi]")
     terms_raw = _require_mapping(data.get("terms"), f"variables.{name}.terms")
     terms = {term: _parse_mf(mf, f"variables.{name}.terms.{term}")

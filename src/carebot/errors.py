@@ -1,6 +1,11 @@
-"""Exception types and positioned diagnostics shared across the engine."""
+"""Exception types, positioned diagnostics and input checks shared across the engine."""
 
 from dataclasses import dataclass
+
+
+def is_number(value) -> bool:
+    """An int or float from outside input; JSON and YAML booleans are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

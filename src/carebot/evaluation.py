@@ -183,20 +183,20 @@ def load_fixture(path) -> AccuracyReport:
     return report_from_percentages(labels, rows, claimed_overall=claimed)
 
 
-def predict_dominant(emotion_probs, labels=EMOTION_LABELS) -> str:
+def predict_dominant(emotion_probs) -> str:
     """Highest-probability class; ties break toward the earlier label."""
-    best = max(range(len(labels)), key=lambda i: (emotion_probs[i], -i))
-    return labels[best]
+    best = max(range(len(EMOTION_LABELS)), key=lambda i: (emotion_probs[i], -i))
+    return EMOTION_LABELS[best]
 
 
-def matrix_from_events(events, labels=EMOTION_LABELS) -> ConfusionMatrix:
+def matrix_from_events(events) -> ConfusionMatrix:
     """Accumulate truth/prediction pairs from events carrying truth_emotion."""
-    cm = ConfusionMatrix.empty(labels)
+    cm = ConfusionMatrix.empty()
     seen = 0
     for event in events:
         if event.truth_emotion is None:
             continue
-        accumulate(cm, event.truth_emotion, predict_dominant(event.emotion_probs, labels))
+        accumulate(cm, event.truth_emotion, predict_dominant(event.emotion_probs))
         seen += 1
     if seen == 0:
         raise EvaluationError("no events carry truth_emotion; nothing to score")

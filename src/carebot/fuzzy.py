@@ -8,7 +8,7 @@ at its bounds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,9 @@ TRAPEZOIDAL = "trapezoidal"
 EMOTION_LABELS = ("anger", "happiness", "sadness", "surprise", "disgust", "fear")
 
 PROB_SUM_TOL = 1e-6
+
+# Grid on which a variable's terms are checked to cover its universe.
+COVERAGE_SAMPLES = 2001
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,6 @@ class LinguisticVariable:
     name: str
     universe: tuple[float, float]
     terms: tuple[tuple[str, MembershipFunction], ...]
-    coverage_samples: int = field(default=2001, compare=False)
 
     def __post_init__(self):
         if isinstance(self.terms, dict):
@@ -127,7 +129,7 @@ class LinguisticVariable:
                     f"{self.name}.{term}: support [{s_lo}, {s_hi}] outside "
                     f"universe [{lo}, {hi}]"
                 )
-        xs = np.linspace(lo, hi, self.coverage_samples)
+        xs = np.linspace(lo, hi, COVERAGE_SAMPLES)
         covered = np.zeros(len(xs), dtype=bool)
         for _, mf in self.terms:
             covered |= membership_grid(mf, xs) > 0.0
@@ -190,22 +192,23 @@ def valence_score(emotion_probs) -> float:
 
     The score is P(happiness) minus the summed probability of the five
     negative classes (anger, sadness, surprise, disgust, fear); it is the
-    crisp input of the emotion-state variable.
+    crisp input of the emotion-state variable. A sum that is off by up to
+    ``PROB_SUM_TOL`` can push the difference just past +/-1; it is clamped.
     """
     probs = tuple(float(p) for p in emotion_probs)
     if len(probs) != len(EMOTION_LABELS):
         raise ValidationError(
             f"emotion probabilities need {len(EMOTION_LABELS)} entries, got {len(probs)}"
         )
-    if any(p < 0.0 for p in probs):
-        raise ValidationError(f"emotion probabilities must be >= 0, got {probs}")
+    if not all(p >= 0.0 for p in probs):
+        raise ValidationError(f"emotion probabilities must be >= 0 and not NaN, got {probs}")
     total = sum(probs)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(
             f"emotion probabilities must sum to 1 +/- {PROB_SUM_TOL:g}, got {total!r}"
         )
     happiness = probs[EMOTION_LABELS.index("happiness")]
-    return happiness - (total - happiness)
+    return min(1.0, max(-1.0, happiness - (total - happiness)))
 
 
 def three_term_variable(

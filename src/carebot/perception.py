@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import Diagnostic, TraceError, ValidationError
+from .errors import Diagnostic, TraceError, ValidationError, is_number
 from .fuzzy import EMOTION_LABELS, valence_score
 
 SCHEMA_VERSION = 1
@@ -112,19 +112,19 @@ def _check_event_shape(obj: dict, lenient: bool) -> list[tuple[str, str]]:
         for key in obj:
             if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
                 problems.append(("schema", f"unknown field {key!r}"))
-    if "timestamp" in obj and not isinstance(obj["timestamp"], (int, float)):
+    if "timestamp" in obj and not is_number(obj["timestamp"]):
         problems.append(("schema", f"timestamp must be a number, got {_type_name(obj['timestamp'])}"))
     if "subject_id" in obj and not isinstance(obj["subject_id"], str):
         problems.append(("schema", f"subject_id must be a string, got {_type_name(obj['subject_id'])}"))
-    probs = obj.get("emotion_probs")
-    if probs is not None:
-        if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+    if "emotion_probs" in obj:
+        probs = obj["emotion_probs"]
+        if not isinstance(probs, list) or not all(is_number(p) for p in probs):
             problems.append(("schema", "emotion_probs must be a list of numbers"))
         elif len(probs) != len(EMOTION_LABELS):
             problems.append(("schema",
                              f"emotion_probs needs {len(EMOTION_LABELS)} entries, got {len(probs)}"))
     for key in ("sound_norm", "head_angle_deg"):
-        if key in obj and not isinstance(obj[key], (int, float)):
+        if key in obj and not is_number(obj[key]):
             problems.append(("schema", f"{key} must be a number, got {_type_name(obj[key])}"))
     for key in _OPTIONAL_KEYS:
         if obj.get(key) is not None and key in obj and not isinstance(obj[key], str):
@@ -159,6 +159,9 @@ def load_trace(path, lenient: bool = False) -> Trace:
             diagnostics.append(Diagnostic(line_no, err.colno, "schema",
                                           f"invalid JSON: {err.msg}"))
             continue
+        except (ValueError, RecursionError) as err:  # over-long integer, deep nesting
+            diagnostics.append(Diagnostic(line_no, 1, "schema", f"invalid JSON: {err}"))
+            continue
         if not isinstance(obj, dict):
             diagnostics.append(Diagnostic(line_no, 1, "schema",
                                           f"expected an object, got {_type_name(obj)}"))
@@ -168,7 +171,7 @@ def load_trace(path, lenient: bool = False) -> Trace:
             header = obj
             header_line = line_no
             version = obj.get("schema_version")
-            if version != SCHEMA_VERSION:
+            if isinstance(version, bool) or version != SCHEMA_VERSION:
                 diagnostics.append(Diagnostic(
                     line_no, 1, "schema",
                     f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"))
@@ -201,7 +204,7 @@ def load_trace(path, lenient: bool = False) -> Trace:
                 user_action=obj.get("user_action"),
                 truth_emotion=obj.get("truth_emotion"),
             )
-        except ValidationError as err:
+        except (ValidationError, OverflowError) as err:  # OverflowError: int beyond float
             diagnostics.append(Diagnostic(line_no, 1, "range", str(err)))
             continue
         if subjects is not None and event.subject_id not in subjects:

@@ -98,12 +98,6 @@ class RuleBase:
     variables: dict[str, tuple[str, ...]]
     rules: tuple[Rule, ...]
 
-    def rule(self, rule_id: int) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise KeyError(rule_id)
-
 
 class ParseContext:
     """Vocabulary a statement is validated against."""
@@ -320,36 +314,32 @@ def _validate_rule(rule: Rule, items, weight_tok, context: ParseContext) -> list
     return problems
 
 
-def parse_rule(text: str, context: ParseContext, line_no: int = 1) -> Rule:
+def parse_rule(text: str, context: ParseContext) -> Rule:
     """Parse and validate a single RULE statement.
 
     Raises :class:`RuleSyntaxError` on grammar problems and
     :class:`RuleValidationError` on the first vocabulary problem.
     """
-    tokens = _tokenize(text, line_no)
-    rule, items, weight_tok = _Parser(tokens).parse_rule_statement()
+    rule, items, weight_tok = _Parser(_tokenize(text, 1)).parse_rule_statement()
     problems = _validate_rule(rule, items, weight_tok, context)
     if problems:
         raise RuleValidationError(problems[0])
     return rule
 
 
-def parse_condition(text: str, context: ParseContext | None = None,
-                    line_no: int = 1) -> Condition:
+def parse_condition(text: str, context: ParseContext) -> Condition:
     """Parse a standalone condition expression.
 
-    With a context, atoms are checked against the declared vocabulary and the
-    first problem raises :class:`RuleValidationError`.
+    Atoms are checked against the declared vocabulary and the first problem
+    raises :class:`RuleValidationError`.
     """
-    tokens = _tokenize(text, line_no)
-    parser = _Parser(tokens)
+    parser = _Parser(_tokenize(text, 1))
     condition = parser.parse_condition()
     parser.expect("EOL", "end of condition")
-    if context is not None:
-        problems: list[Diagnostic] = []
-        _check_condition(condition, context, problems)
-        if problems:
-            raise RuleValidationError(problems[0])
+    problems: list[Diagnostic] = []
+    _check_condition(condition, context, problems)
+    if problems:
+        raise RuleValidationError(problems[0])
     return condition
 
 
