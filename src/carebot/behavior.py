@@ -1,11 +1,12 @@
 """Decision pipeline and append-only decision log.
 
 The engine turns one perception event into one discrete decision through a
-fixed pipeline: fuzzify the crisp inputs, fire the rule base, aggregate and
+fixed pipeline: fuzzify the crisp inputs, fire the rule base, combine and
 defuzzify each action channel, blend the three appraisal routes, threshold
 the fused activations, and arbitrate conflicts (alerting outranks affect
-display). Every decision is written to a line-delimited log that is only
-ever appended to.
+display). The rule base and the output sample grids are compiled once, when
+the engine is built. Every decision is written to a line-delimited log that
+is only ever appended to.
 """
 
 import json
@@ -19,8 +20,7 @@ from .errors import ConfigError, Diagnostic, ValidationError
 from .fuzzy import (LinguisticVariable, default_input_variables, fuzzify,
                     valence_score)
 from .inference import (ACTION_CHANNELS, CHANNEL_OUTPUTS, DEFAULT_RESOLUTION,
-                        aggregate, default_output_variables, defuzzify_wcog,
-                        fire_rules)
+                        CompiledRules, default_output_variables)
 from .perception import PerceptionEvent
 from .rules import ACTIONS, EXPRESSIONS, RuleBase, default_rulebase
 
@@ -29,6 +29,10 @@ DEFAULT_THRESHOLD = 0.5
 
 def default_thresholds() -> dict[str, float]:
     return {channel: DEFAULT_THRESHOLD for channel in ACTION_CHANNELS}
+
+
+# The input variables an event feeds, as crisp_inputs names them.
+EVENT_INPUTS = ("emotion", "sound", "head_angle")
 
 
 def crisp_inputs(event: PerceptionEvent) -> dict[str, float]:
@@ -82,9 +86,12 @@ class BehaviorDecision:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Engine:
-    """Validated bundle of everything decide() needs, plus decide() itself."""
+    """Validated bundle of everything decide() needs, plus decide() itself.
+
+    Frozen, so the rule tables compiled at build cannot go stale.
+    """
 
     rulebase: RuleBase
     input_variables: dict[str, LinguisticVariable]
@@ -92,6 +99,7 @@ class Engine:
     weights: AppraisalWeights = DEFAULT_WEIGHTS
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
     resolution: int = DEFAULT_RESOLUTION
+    compiled: CompiledRules = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.thresholds) != set(ACTION_CHANNELS):
@@ -117,6 +125,11 @@ class Engine:
         for channel, var_name in CHANNEL_OUTPUTS.items():
             if var_name not in self.output_variables:
                 raise ConfigError(f"missing output variable {var_name!r} for channel {channel}")
+        for name in sorted(self.input_variables):
+            if name not in EVENT_INPUTS:
+                raise ConfigError(f"no event field feeds input variable {name!r}")
+        object.__setattr__(self, "compiled", CompiledRules(
+            self.rulebase, self.input_variables, self.output_variables, self.resolution))
 
     @classmethod
     def default(cls, weights: AppraisalWeights = DEFAULT_WEIGHTS,
@@ -134,27 +147,15 @@ class Engine:
 
     def decide(self, event: PerceptionEvent) -> BehaviorDecision:
         crisp = crisp_inputs(event)
-        fuzzified = {}
+        degrees = []
         clamped = []
-        for name, var in sorted(self.input_variables.items()):
-            if name not in crisp:
-                raise ConfigError(f"no event field feeds input variable {name!r}")
-            fuzzified[name] = fuzzify(var, crisp[name])
-            if fuzzified[name].clamped:
+        for name, var in self.compiled.inputs:
+            fuzzified = fuzzify(var, crisp[name])
+            degrees.extend(fuzzified.degrees.values())
+            if fuzzified.clamped:
                 clamped.append(name)
 
-        firings = fire_rules(self.rulebase, fuzzified)
-
-        x_fkbs = {}
-        degenerate = {}
-        for channel in ACTION_CHANNELS:
-            var = self.output_variables[CHANNEL_OUTPUTS[channel]]
-            agg = aggregate(firings, self.rulebase, var)
-            out = defuzzify_wcog(agg, var, self.resolution)
-            # No rule pushed on this channel: treat as zero drive, not as the
-            # universe midpoint the fallback defuzzifier reports.
-            x_fkbs[channel] = 0.0 if out.degenerate else out.value
-            degenerate[channel] = out.degenerate
+        fired, x_fkbs, degenerate = self.compiled.evaluate(degrees)
 
         valence = crisp["emotion"]
         activations = ChannelActivations(
@@ -178,7 +179,6 @@ class Engine:
         else:
             expression = "neutral"
 
-        fired = tuple((f.rule_id, f.strength) for f in firings if f.strength > 0.0)
         return BehaviorDecision(
             timestamp=event.timestamp,
             subject_id=event.subject_id,
@@ -219,11 +219,11 @@ class EventLog:
                     self._count += 1
                     try:
                         obj = json.loads(line)
-                        ts = obj.get("timestamp")
-                        if isinstance(ts, (int, float)):
-                            self._last_timestamp = ts
-                    except json.JSONDecodeError:
-                        pass
+                    except (ValueError, RecursionError):  # corrupt, over-long, too deep
+                        continue
+                    ts = obj.get("timestamp") if isinstance(obj, dict) else None
+                    if isinstance(ts, (int, float)):
+                        self._last_timestamp = ts
         self._handle = open(self.path, "a", encoding="utf-8")
         # A write cut short left a torn last line; start on a fresh one so the
         # next record is not glued onto it.
@@ -281,6 +281,9 @@ def log_read(path, start: float | None = None, end: float | None = None,
             except json.JSONDecodeError as err:
                 diagnostics.append(Diagnostic(line_no, err.colno, "corrupt",
                                               f"invalid JSON: {err.msg}"))
+                continue
+            except (ValueError, RecursionError) as err:  # over-long integer, deep nesting
+                diagnostics.append(Diagnostic(line_no, 1, "corrupt", f"invalid JSON: {err}"))
                 continue
             if not isinstance(obj, dict) or not isinstance(obj.get("timestamp"), (int, float)) \
                     or not isinstance(obj.get("subject_id"), str):

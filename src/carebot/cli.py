@@ -15,9 +15,10 @@ from .appraisal import AppraisalWeights
 from .behavior import Engine, EventLog, log_read
 from .config import EngineConfig, default_config, load_config
 from .errors import (CarebotError, ConfigError, EvaluationError,
-                     RuleBaseError, TraceError, ValidationError)
+                     RuleBaseError, TraceError, ValidationError, is_number)
 from .evaluation import (load_fixture, matrix_from_events, predict_dominant,
                          render_table, report)
+from .fuzzy import EMOTION_LABELS
 from .inference import ACTION_CHANNELS, default_output_variables
 from .perception import load_trace
 from .rules import EXPRESSIONS, default_rulebase, parse_rulebase, serialize_rulebase
@@ -229,7 +230,8 @@ def cmd_report(args) -> int:
         for r in rows:
             state = "?"
             probs = r.get("emotion_probs")
-            if isinstance(probs, list) and probs:
+            if isinstance(probs, list) and len(probs) == len(EMOTION_LABELS) \
+                    and all(map(is_number, probs)):
                 state = predict_dominant(probs)
             valence = r.get("valence")
             valence_text = f"{valence:+.2f}" if isinstance(valence, (int, float)) else "?"

@@ -12,6 +12,11 @@ ramp terms. A rule consequent asserts the high term of every channel it
 names (expression ``neutral`` asserts the low term of the expression
 channel). The behavior module later thresholds these intensities back to
 discrete actions.
+
+:class:`CompiledRules` is what an engine runs per event: the rule base and
+the channels' output sets flattened once into numpy tables. ``fire_rules``,
+``aggregate`` and ``defuzzify_wcog`` are the same stages one at a time; the
+compiled form gives bit-identical results.
 """
 
 from dataclasses import dataclass
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, EvaluationError
 from .fuzzy import FuzzifiedValue, LinguisticVariable, membership_grid, trapezoid
-from .rules import Atom, Condition, Consequent, Rule, RuleBase
+from .rules import Atom, BinOp, Condition, Consequent, Rule, RuleBase
 
 DEFAULT_RESOLUTION = 1001
 
@@ -180,3 +185,134 @@ def defuzzify_wcog(agg: AggregatedOutput, var: LinguisticVariable,
         return CrispOutput(var.name, var.midpoint, degenerate=True)
     value = float((xs * mu).sum() / total)
     return CrispOutput(var.name, min(max(value, lo), hi), degenerate=False)
+
+
+def _antecedent_program(antecedents: list[Condition], slots: dict[tuple[str, str], int]):
+    """Level-ordered min/max program over every antecedent tree.
+
+    Values 0..len(slots)-1 are the term degrees; each AND/OR node gets the
+    next free index, grouped by height and operator so that one ufunc call
+    evaluates a whole group into a contiguous slice. Children sit at lower
+    heights, so every step reads only values already computed. Returns the
+    steps, the value index of each antecedent and the number of values.
+    """
+    groups: dict[tuple[int, str], list[BinOp]] = {}
+
+    def height(node: Condition) -> int:
+        if isinstance(node, Atom):
+            return 0
+        h = 1 + max(height(node.left), height(node.right))
+        groups.setdefault((h, node.op), []).append(node)
+        return h
+
+    for antecedent in antecedents:
+        height(antecedent)
+
+    index: dict[int, int] = {}
+
+    def ref(node: Condition) -> int:
+        if not isinstance(node, Atom):
+            return index[id(node)]
+        if (node.variable, node.term) not in slots:
+            raise ConfigError(
+                f"rule base tests {node.variable!r} IS {node.term!r}, "
+                f"which no input variable defines"
+            )
+        return slots[(node.variable, node.term)]
+
+    program = []
+    size = len(slots)
+    for (_, op), nodes in sorted(groups.items()):
+        left = np.array([ref(node.left) for node in nodes], dtype=np.intp)
+        right = np.array([ref(node.right) for node in nodes], dtype=np.intp)
+        for offset, node in enumerate(nodes):
+            index[id(node)] = size + offset
+        ufunc = np.minimum if op == "AND" else np.maximum
+        program.append((ufunc, left, right, slice(size, size + len(nodes))))
+        size += len(nodes)
+    roots = np.array([ref(antecedent) for antecedent in antecedents], dtype=np.intp)
+    return tuple(program), roots, size
+
+
+class CompiledRules:
+    """A rule base and the channels' output sets, compiled for one engine.
+
+    Built once from values that do not change over the engine's lifetime:
+
+    - one term-degree slot per (input variable, term), variables in sorted
+      order and terms in declaration order;
+    - a level-ordered min/max program over the antecedents, rules sorted by
+      id (see :func:`_antecedent_program`);
+    - a weight table (channel, term, rule): the rule's weight where its
+      consequent asserts that term of the channel's output variable, else 0;
+    - per channel, the sample grid and every term's membership on it, padded
+      with all-zero rows to the largest term count.
+
+    :meth:`evaluate` then does per event what ``fire_rules``, ``aggregate``
+    and ``defuzzify_wcog`` do, with the same float operations: min and max
+    are exact, ``min(s, 1) * w`` is the same multiply, and the row sums of a
+    C-contiguous array use the same pairwise summation as a 1-D sum.
+    """
+
+    def __init__(self, rulebase: RuleBase, input_variables: dict[str, LinguisticVariable],
+                 output_variables: dict[str, LinguisticVariable], resolution: int):
+        self.inputs = tuple(sorted(input_variables.items()))
+        slots = {}
+        for name, var in self.inputs:
+            for term in var.term_names:
+                slots[(name, term)] = len(slots)
+        self.slots = len(slots)
+
+        rules = sorted(rulebase.rules, key=lambda r: r.id)
+        self.rule_ids = tuple(rule.id for rule in rules)
+        self.program, self.roots, self.size = _antecedent_program(
+            [rule.antecedent for rule in rules], slots)
+
+        outputs = [output_variables[CHANNEL_OUTPUTS[channel]] for channel in ACTION_CHANNELS]
+        width = max(len(var.terms) for var in outputs)
+        self.weights = np.zeros((len(outputs), width, len(rules)))
+        self.xs = np.empty((len(outputs), resolution))
+        self.grids = np.zeros((len(outputs), width, resolution))
+        self.universes = tuple(var.universe for var in outputs)
+        channel_of = {var.name: c for c, var in enumerate(outputs)}
+        for r, rule in enumerate(rules):
+            for variable, term in consequent_assertions(rule.consequent):
+                var = outputs[channel_of[variable]]
+                if term not in var.term_names:
+                    raise ConfigError(
+                        f"rule {rule.id} asserts unknown term {term!r} on {variable!r}"
+                    )
+                self.weights[channel_of[variable], var.term_names.index(term), r] = rule.weight
+        for c, var in enumerate(outputs):
+            lo, hi = var.universe
+            self.xs[c] = np.linspace(lo, hi, resolution)
+            for t, (_, mf) in enumerate(var.terms):
+                self.grids[c, t] = membership_grid(mf, self.xs[c])
+
+    def evaluate(self, degrees: list[float]):
+        """Term degrees in slot order -> (fired rules, crisp value per channel,
+        degenerate flag per channel).
+
+        Fired rules are (id, strength) pairs with strength > 0, by id. A
+        channel with no membership mass is degenerate and reads 0.0.
+        """
+        values = np.empty(self.size)
+        values[:self.slots] = degrees
+        for ufunc, left, right, out in self.program:
+            ufunc(values[left], values[right], out=values[out])
+        strengths = values[self.roots]
+        agg = (self.weights * np.minimum(strengths, 1.0)).max(axis=2, initial=0.0)
+        mu = np.minimum(agg[:, :, None], self.grids).max(axis=1)
+        totals = mu.sum(axis=1).tolist()
+        moments = (self.xs * mu).sum(axis=1).tolist()
+
+        crisp = {}
+        degenerate = {}
+        for channel, total, moment, (lo, hi) in zip(ACTION_CHANNELS, totals, moments,
+                                                    self.universes):
+            degenerate[channel] = total == 0.0
+            crisp[channel] = 0.0 if total == 0.0 else min(max(moment / total, lo), hi)
+        fired = tuple((rule_id, strength)
+                      for rule_id, strength in zip(self.rule_ids, strengths.tolist())
+                      if strength > 0.0)
+        return fired, crisp, degenerate
