@@ -11,12 +11,14 @@ is only ever appended to.
 
 import json
 import math
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .appraisal import (AppraisalWeights, ChannelActivations, DEFAULT_WEIGHTS,
                         ea_activations, fuse, p_activations)
-from .errors import ConfigError, Diagnostic, ValidationError
+from .errors import ConfigError, Diagnostic, ValidationError, is_number
 from .fuzzy import (LinguisticVariable, default_input_variables, fuzzify,
                     valence_score)
 from .inference import (ACTION_CHANNELS, CHANNEL_OUTPUTS, DEFAULT_RESOLUTION,
@@ -122,6 +124,10 @@ class Engine:
                 raise ConfigError(
                     f"variable {name!r} is missing terms {sorted(missing)} used by the rule base"
                 )
+        head = self.input_variables.get("head_angle")
+        if head is not None and "normal" not in head.term_names:
+            raise ConfigError("variable 'head_angle' needs a 'normal' term, "
+                              "which the perception route reads")
         for channel, var_name in CHANNEL_OUTPUTS.items():
             if var_name not in self.output_variables:
                 raise ConfigError(f"missing output variable {var_name!r} for channel {channel}")
@@ -203,6 +209,52 @@ def serialize_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+# Bytes read per step when scanning a log backwards for its last record.
+TAIL_BLOCK_BYTES = 8192
+# The line breaks text mode splits on.
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
+
+
+def _record_timestamp(raw: bytes):
+    """The timestamp of one log line if it is a record, else None."""
+    if not raw.strip():
+        return None
+    try:
+        obj = json.loads(raw.decode("utf-8", errors="replace"))
+    except (ValueError, RecursionError):  # corrupt, over-long, too deep
+        return None
+    ts = obj.get("timestamp") if isinstance(obj, dict) else None
+    return ts if is_number(ts) else None
+
+
+def _last_timestamp(path):
+    """Timestamp of the last line of the log that is a record, or None.
+
+    Reads back from the end in blocks and stops at the first record. Lines
+    split as in text mode; a line that straddles blocks is joined as bytes
+    before it is decoded. A CR LF pair cut by a block boundary reads as two
+    breaks around an empty line, which is never a record.
+    """
+    with open(path, "rb") as handle:
+        pos = handle.seek(0, os.SEEK_END)
+        pieces = []  # the line being gathered, its last block first
+        while pos > 0:
+            step = min(pos, TAIL_BLOCK_BYTES)
+            pos -= step
+            handle.seek(pos)
+            parts = _LINE_BREAK.split(handle.read(step))
+            pieces.append(parts.pop())
+            if not parts:
+                continue
+            lines = [b"".join(reversed(pieces)), *reversed(parts[1:])]
+            pieces = [parts[0]]
+            for raw in lines:
+                ts = _record_timestamp(raw)
+                if ts is not None:
+                    return ts
+        return _record_timestamp(b"".join(reversed(pieces)))
+
+
 class EventLog:
     """Append-only JSONL decision log with monotone timestamps."""
 
@@ -212,18 +264,14 @@ class EventLog:
         self._last_timestamp = None
         line = "\n"
         if self.path.exists():
+            # Counting decodes every line but parses none, and only the lines
+            # from the end back to the last record are parsed, so opening a
+            # healthy log costs one decode pass however long it has grown.
             with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
                 for line in handle:
-                    if not line.strip():
-                        continue
-                    self._count += 1
-                    try:
-                        obj = json.loads(line)
-                    except (ValueError, RecursionError):  # corrupt, over-long, too deep
-                        continue
-                    ts = obj.get("timestamp") if isinstance(obj, dict) else None
-                    if isinstance(ts, (int, float)):
-                        self._last_timestamp = ts
+                    if not line.isspace():  # blank to log_read too: strip() leaves nothing
+                        self._count += 1
+            self._last_timestamp = _last_timestamp(self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
         # A write cut short left a torn last line; start on a fresh one so the
         # next record is not glued onto it.
@@ -285,7 +333,7 @@ def log_read(path, start: float | None = None, end: float | None = None,
             except (ValueError, RecursionError) as err:  # over-long integer, deep nesting
                 diagnostics.append(Diagnostic(line_no, 1, "corrupt", f"invalid JSON: {err}"))
                 continue
-            if not isinstance(obj, dict) or not isinstance(obj.get("timestamp"), (int, float)) \
+            if not isinstance(obj, dict) or not is_number(obj.get("timestamp")) \
                     or not isinstance(obj.get("subject_id"), str):
                 diagnostics.append(Diagnostic(line_no, 1, "corrupt",
                                               "record lacks timestamp/subject_id"))

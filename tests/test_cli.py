@@ -53,6 +53,27 @@ class TestExitCodes:
         assert code == 2
         assert "unknown config keys" in err
 
+    def test_head_angle_without_normal_term_is_config_error(self, capsys, trace, tmp_path):
+        config = tmp_path / "engine.yaml"
+        config.write_text(
+            "variables:\n"
+            "  head_angle:\n"
+            "    universe: [0, 90]\n"
+            "    terms:\n"
+            "      upright: {shape: trapezoid, params: [0, 0, 0, 25]}\n"
+            "      low: {shape: triangle, params: [0, 25, 45]}\n"
+            "      high: {shape: trapezoid, params: [25, 45, 90, 90]}\n",
+            encoding="utf-8")
+        rules = tmp_path / "one.fkb"
+        rules.write_text("VAR emotion: negative, neutral, positive\n"
+                         "RULE 1: IF emotion IS negative THEN no_action, call_nurses, record_data\n",
+                         encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--trace", trace, "--config", str(config),
+                             "--rules", str(rules), "--deterministic")
+        assert code == 2
+        assert out == ""
+        assert "config error: variable 'head_angle' needs a 'normal' term" in err
+
     def test_missing_trace_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--trace",
                            str(tmp_path / "nope.jsonl"))
