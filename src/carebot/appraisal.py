@@ -103,16 +103,23 @@ def ea_activations(valence: float, emotion_probs) -> dict[str, float]:
     }
 
 
-def p_activations(event, head_var: LinguisticVariable | None = None) -> dict[str, float]:
+def perception_activations(sound_norm: float, head_normalcy: float) -> dict[str, float]:
     """Direct-perception channel: quiet audio or an off-normal head pose
     raises the alert activation; recording is unconditional; perception
-    alone never smiles.
+    alone never smiles. ``head_normalcy`` is the head angle's degree in the
+    ``normal`` term.
     """
-    if head_var is None:
-        head_var = default_head_angle_variable()
-    head_normalcy = fuzzify(head_var, event.head_angle_deg).degrees["normal"]
     return {
-        "call_nurses": max(1.0 - event.sound_norm, 1.0 - head_normalcy),
+        "call_nurses": max(1.0 - sound_norm, 1.0 - head_normalcy),
         "smile": 0.0,
         "record_data": 1.0,
     }
+
+
+def p_activations(event, head_var: LinguisticVariable | None = None) -> dict[str, float]:
+    """:func:`perception_activations` for one event, its head angle fuzzified
+    on ``head_var`` (the stock head-angle variable when None)."""
+    if head_var is None:
+        head_var = default_head_angle_variable()
+    return perception_activations(
+        event.sound_norm, fuzzify(head_var, event.head_angle_deg).degrees["normal"])

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .appraisal import (AppraisalWeights, ChannelActivations, DEFAULT_WEIGHTS,
-                        ea_activations, fuse, p_activations)
+                        ea_activations, fuse, perception_activations)
 from .errors import ConfigError, Diagnostic, ValidationError, is_number
-from .fuzzy import (LinguisticVariable, default_input_variables, fuzzify,
-                    valence_score)
+from .fuzzy import (LinguisticVariable, default_head_angle_variable,
+                    default_input_variables, fuzzify, valence_score)
 from .inference import (ACTION_CHANNELS, CHANNEL_OUTPUTS, DEFAULT_RESOLUTION,
                         CompiledRules, default_output_variables)
 from .perception import PerceptionEvent
@@ -102,6 +102,8 @@ class Engine:
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
     resolution: int = DEFAULT_RESOLUTION
     compiled: CompiledRules = field(init=False, repr=False, compare=False)
+    # The perception route's head-angle variable when no input variable is one.
+    head_fallback: LinguisticVariable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.thresholds) != set(ACTION_CHANNELS):
@@ -136,6 +138,8 @@ class Engine:
                 raise ConfigError(f"no event field feeds input variable {name!r}")
         object.__setattr__(self, "compiled", CompiledRules(
             self.rulebase, self.input_variables, self.output_variables, self.resolution))
+        object.__setattr__(self, "head_fallback", None if head is not None
+                           else default_head_angle_variable())
 
     @classmethod
     def default(cls, weights: AppraisalWeights = DEFAULT_WEIGHTS,
@@ -160,6 +164,10 @@ class Engine:
             degrees.extend(fuzzified.degrees.values())
             if fuzzified.clamped:
                 clamped.append(name)
+            if name == "head_angle":
+                head_normalcy = fuzzified.degrees["normal"]
+        if self.head_fallback is not None:
+            head_normalcy = fuzzify(self.head_fallback, event.head_angle_deg).degrees["normal"]
 
         fired, x_fkbs, degenerate = self.compiled.evaluate(degrees)
 
@@ -167,7 +175,7 @@ class Engine:
         activations = ChannelActivations(
             x_ea=ea_activations(valence, event.emotion_probs),
             x_fkbs=x_fkbs,
-            x_p=p_activations(event, head_var=self.input_variables.get("head_angle")),
+            x_p=perception_activations(event.sound_norm, head_normalcy),
         )
         cognitive = fuse(self.weights, activations)
         c_o = cognitive.c_o
@@ -215,6 +223,15 @@ TAIL_BLOCK_BYTES = 8192
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
+def _is_timestamp(value) -> bool:
+    """A number that is a finite float. ``json`` parses NaN, Infinity and
+    integers beyond the float range, none of which is a time."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _record_timestamp(raw: bytes):
     """The timestamp of one log line if it is a record, else None."""
     if not raw.strip():
@@ -224,7 +241,7 @@ def _record_timestamp(raw: bytes):
     except (ValueError, RecursionError):  # corrupt, over-long, too deep
         return None
     ts = obj.get("timestamp") if isinstance(obj, dict) else None
-    return ts if is_number(ts) else None
+    return ts if _is_timestamp(ts) else None
 
 
 def _last_timestamp(path):
@@ -333,7 +350,7 @@ def log_read(path, start: float | None = None, end: float | None = None,
             except (ValueError, RecursionError) as err:  # over-long integer, deep nesting
                 diagnostics.append(Diagnostic(line_no, 1, "corrupt", f"invalid JSON: {err}"))
                 continue
-            if not isinstance(obj, dict) or not is_number(obj.get("timestamp")) \
+            if not isinstance(obj, dict) or not _is_timestamp(obj.get("timestamp")) \
                     or not isinstance(obj.get("subject_id"), str):
                 diagnostics.append(Diagnostic(line_no, 1, "corrupt",
                                               "record lacks timestamp/subject_id"))

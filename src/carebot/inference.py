@@ -13,12 +13,17 @@ names (expression ``neutral`` asserts the low term of the expression
 channel). The behavior module later thresholds these intensities back to
 discrete actions.
 
+For that low/high ramp pair the sampled sums have a closed form
+(:func:`ramp_wcog`) whose cost does not depend on the number of samples;
+any other output variable is sampled on its grid.
+
 :class:`CompiledRules` is what an engine runs per event: the rule base and
 the channels' output sets flattened once into numpy tables. ``fire_rules``,
 ``aggregate`` and ``defuzzify_wcog`` are the same stages one at a time; the
 compiled form gives bit-identical results.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +68,68 @@ class CrispOutput:
     degenerate: bool = False
 
 
+# The output terms of every stock channel: low = 1 - x and high = x on [0, 1].
+RAMP_TERMS = (
+    ("low", trapezoid(0.0, 0.0, 0.0, 1.0)),
+    ("high", trapezoid(0.0, 1.0, 1.0, 1.0)),
+)
+
+
 def default_output_variables() -> dict[str, LinguisticVariable]:
     """One intensity variable per action channel, ramp terms low/high on [0, 1]."""
-    variables = {}
-    for name in CHANNEL_OUTPUTS.values():
-        variables[name] = LinguisticVariable(
-            name=name,
-            universe=(0.0, 1.0),
-            terms=(
-                ("low", trapezoid(0.0, 0.0, 0.0, 1.0)),
-                ("high", trapezoid(0.0, 1.0, 1.0, 1.0)),
-            ),
-        )
-    return variables
+    return {name: LinguisticVariable(name=name, universe=(0.0, 1.0), terms=RAMP_TERMS)
+            for name in CHANNEL_OUTPUTS.values()}
+
+
+def is_ramp_pair(var: LinguisticVariable) -> bool:
+    """Whether ``var`` is the low/high ramp pair on [0, 1] that
+    :func:`ramp_wcog` sums in closed form."""
+    return tuple(var.universe) == (0.0, 1.0) and var.terms == RAMP_TERMS
+
+
+def ramp_wcog(l: float, h: float, n: int) -> tuple[float, float]:
+    """Sum of mu and of x * mu over ``np.linspace(0, 1, n)``, n >= 2, for
+    mu(x) = max(min(l, 1 - x), min(h, x)): the ramp pair clipped at l and h.
+
+    Clips are taken within [0, 1], a NaN clip as 0. With N = n - 1 and
+    v = min(l, h, 0.5), the low set wins up to the crossing point x* (v when
+    l <= h, else 1 - v) and the high set after it, so mu is the constant l,
+    then 1 - x, then x, then the constant h, split at the grid indices a, b
+    and c of min(x*, 1 - l), x* and max(x*, h). Each index comes from N * l,
+    N * v or N * h, never from 1 - l or 1 - v, which round small clips away.
+    mu is continuous, so a grid point on a split belongs to either piece.
+    Each piece sums a constant, i or i^2 over an index range; those sums are
+    made in integers from the triangular numbers t_k = k (k + 1) / 2 and
+    k (k + 1) (2k + 1) / 6 = t_k (2k + 1) / 3. The total is 0 exactly when
+    l = h = 0.
+    """
+    # Conditionals, not min() and max(): this runs per channel per event.
+    if l > 1.0:
+        l = 1.0
+    elif not l > 0.0:
+        l = 0.0
+    if h > 1.0:
+        h = 1.0
+    elif not h > 0.0:
+        h = 0.0
+    last = n - 1
+    v = l if l <= h else h
+    if v > 0.5:
+        v = 0.5
+    b = int(last * v) if l <= h else last - math.ceil(last * v)
+    a = last - math.ceil(last * l)
+    if a > b:
+        a = b
+    c = int(last * h)
+    if c < b:
+        c = b
+    t_a, t_b, t_c = a * (a + 1) // 2, b * (b + 1) // 2, c * (c + 1) // 2
+    # The pieces: i in [0, a] at l, (a, b] at 1 - i/N, (b, c] at i/N, (c, N] at h.
+    total = (a + 1) * l + (last - c) * h + ((b - a) * last - 2 * t_b + t_a + t_c) / last
+    squares = (t_a * (2 * a + 1) + t_c * (2 * c + 1) - 2 * t_b * (2 * b + 1)) // 3
+    moment = ((l * t_a + h * (last * n // 2 - t_c)) / last
+              + (last * (t_b - t_a) + squares) / (last * last))
+    return total, moment
 
 
 def consequent_assertions(consequent: Consequent) -> tuple[tuple[str, str], ...]:
@@ -163,9 +217,11 @@ def defuzzify_wcog(agg: AggregatedOutput, var: LinguisticVariable,
     """Weighted center of gravity over a uniformly sampled universe.
 
     The combined membership at x is the max over terms of the term's
-    membership clipped at its aggregated degree. All-zero membership has no
-    centroid; the universe midpoint is returned with the degenerate flag set
-    so downstream arbitration can treat it as "no evidence".
+    membership clipped at its aggregated degree. The low/high ramp pair is
+    summed in closed form (:func:`ramp_wcog`), any other variable on its
+    grid. All-zero membership has no centroid; the universe midpoint is
+    returned with the degenerate flag set so downstream arbitration can treat
+    it as "no evidence".
     """
     if resolution < 2:
         raise ConfigError(f"defuzzification resolution must be >= 2, got {resolution}")
@@ -174,17 +230,21 @@ def defuzzify_wcog(agg: AggregatedOutput, var: LinguisticVariable,
             f"aggregated output is for {agg.variable!r}, not {var.name!r}"
         )
     lo, hi = var.universe
-    xs = np.linspace(lo, hi, resolution)
-    mu = np.zeros(resolution)
-    for term, mf in var.terms:
-        clip = agg.degrees.get(term, 0.0)
-        if clip > 0.0:
-            mu = np.maximum(mu, np.minimum(clip, membership_grid(mf, xs)))
-    total = float(mu.sum())
+    if is_ramp_pair(var):
+        total, moment = ramp_wcog(agg.degrees.get("low", 0.0), agg.degrees.get("high", 0.0),
+                                  resolution)
+    else:
+        xs = np.linspace(lo, hi, resolution)
+        mu = np.zeros(resolution)
+        for term, mf in var.terms:
+            clip = agg.degrees.get(term, 0.0)
+            if clip > 0.0:
+                mu = np.maximum(mu, np.minimum(clip, membership_grid(mf, xs)))
+        total = float(mu.sum())
+        moment = float((xs * mu).sum())
     if total == 0.0:
         return CrispOutput(var.name, var.midpoint, degenerate=True)
-    value = float((xs * mu).sum() / total)
-    return CrispOutput(var.name, min(max(value, lo), hi), degenerate=False)
+    return CrispOutput(var.name, min(max(moment / total, lo), hi), degenerate=False)
 
 
 def _antecedent_program(antecedents: list[Condition], slots: dict[tuple[str, str], int]):
@@ -234,6 +294,12 @@ def _antecedent_program(antecedents: list[Condition], slots: dict[tuple[str, str
     return tuple(program), roots, size
 
 
+def _sampled_terms(var: LinguisticVariable, resolution: int):
+    """The sample grid on ``var``'s universe and each term's membership on it."""
+    xs = np.linspace(*var.universe, resolution)
+    return xs, np.array([membership_grid(mf, xs) for _, mf in var.terms])
+
+
 class CompiledRules:
     """A rule base and the channels' output sets, compiled for one engine.
 
@@ -245,13 +311,14 @@ class CompiledRules:
       id (see :func:`_antecedent_program`);
     - a weight table (channel, term, rule): the rule's weight where its
       consequent asserts that term of the channel's output variable, else 0;
-    - per channel, the sample grid and every term's membership on it, padded
-      with all-zero rows to the largest term count.
+    - per channel, nothing for the low/high ramp pair, which
+      :func:`ramp_wcog` sums in closed form; for any other output variable,
+      the sample grid and every term's membership on it.
 
     :meth:`evaluate` then does per event what ``fire_rules``, ``aggregate``
     and ``defuzzify_wcog`` do, with the same float operations: min and max
-    are exact, ``min(s, 1) * w`` is the same multiply, and the row sums of a
-    C-contiguous array use the same pairwise summation as a 1-D sum.
+    are exact, ``min(s, 1) * w`` is the same multiply, a ramp channel calls
+    the same :func:`ramp_wcog` and a sampled channel makes the same 1-D sums.
     """
 
     def __init__(self, rulebase: RuleBase, input_variables: dict[str, LinguisticVariable],
@@ -271,8 +338,7 @@ class CompiledRules:
         outputs = [output_variables[CHANNEL_OUTPUTS[channel]] for channel in ACTION_CHANNELS]
         width = max(len(var.terms) for var in outputs)
         self.weights = np.zeros((len(outputs), width, len(rules)))
-        self.xs = np.empty((len(outputs), resolution))
-        self.grids = np.zeros((len(outputs), width, resolution))
+        self.resolution = resolution
         self.universes = tuple(var.universe for var in outputs)
         channel_of = {var.name: c for c, var in enumerate(outputs)}
         for r, rule in enumerate(rules):
@@ -283,11 +349,9 @@ class CompiledRules:
                         f"rule {rule.id} asserts unknown term {term!r} on {variable!r}"
                     )
                 self.weights[channel_of[variable], var.term_names.index(term), r] = rule.weight
-        for c, var in enumerate(outputs):
-            lo, hi = var.universe
-            self.xs[c] = np.linspace(lo, hi, resolution)
-            for t, (_, mf) in enumerate(var.terms):
-                self.grids[c, t] = membership_grid(mf, self.xs[c])
+        # Per channel: None for a ramp pair, else (samples, term memberships on them).
+        self.grids = tuple(None if is_ramp_pair(var) else _sampled_terms(var, resolution)
+                           for var in outputs)
 
     def evaluate(self, degrees: list[float]):
         """Term degrees in slot order -> (fired rules, crisp value per channel,
@@ -302,14 +366,19 @@ class CompiledRules:
             ufunc(values[left], values[right], out=values[out])
         strengths = values[self.roots]
         agg = (self.weights * np.minimum(strengths, 1.0)).max(axis=2, initial=0.0)
-        mu = np.minimum(agg[:, :, None], self.grids).max(axis=1)
-        totals = mu.sum(axis=1).tolist()
-        moments = (self.xs * mu).sum(axis=1).tolist()
 
         crisp = {}
         degenerate = {}
-        for channel, total, moment, (lo, hi) in zip(ACTION_CHANNELS, totals, moments,
-                                                    self.universes):
+        for channel, clips, grid, (lo, hi) in zip(ACTION_CHANNELS, agg.tolist(), self.grids,
+                                                  self.universes):
+            if grid is None:
+                total, moment = ramp_wcog(clips[0], clips[1], self.resolution)
+            else:
+                xs, memberships = grid
+                clips = np.array(clips[:len(memberships)])
+                mu = np.minimum(clips[:, None], memberships).max(axis=0)
+                total = float(mu.sum())
+                moment = float((xs * mu).sum())
             degenerate[channel] = total == 0.0
             crisp[channel] = 0.0 if total == 0.0 else min(max(moment / total, lo), hi)
         fired = tuple((rule_id, strength)
