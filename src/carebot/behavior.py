@@ -4,9 +4,8 @@ The engine turns one perception event into one discrete decision through a
 fixed pipeline: fuzzify the crisp inputs, fire the rule base, combine and
 defuzzify each action channel, blend the three appraisal routes, threshold
 the fused activations, and arbitrate conflicts (alerting outranks affect
-display). The rule base and the output sample grids are compiled once, when
-the engine is built. Every decision is written to a line-delimited log that
-is only ever appended to.
+display). The rule base is compiled once, when the engine is built. Every
+decision is written to a line-delimited log that is only ever appended to.
 """
 
 import json
@@ -19,10 +18,9 @@ from pathlib import Path
 from .appraisal import (AppraisalWeights, ChannelActivations, DEFAULT_WEIGHTS,
                         ea_activations, fuse, perception_activations)
 from .errors import ConfigError, Diagnostic, ValidationError, is_number
-from .fuzzy import (LinguisticVariable, default_head_angle_variable,
-                    default_input_variables, fuzzify, valence_score)
-from .inference import (ACTION_CHANNELS, CHANNEL_OUTPUTS, DEFAULT_RESOLUTION,
-                        CompiledRules, default_output_variables)
+from .fuzzy import LinguisticVariable, default_input_variables, fuzzify
+from .inference import (ACTION_CHANNELS, DEFAULT_RESOLUTION, CompiledRules,
+                        check_resolution)
 from .perception import PerceptionEvent
 from .rules import ACTIONS, EXPRESSIONS, RuleBase, default_rulebase
 
@@ -40,7 +38,7 @@ EVENT_INPUTS = ("emotion", "sound", "head_angle")
 def crisp_inputs(event: PerceptionEvent) -> dict[str, float]:
     """Map an event onto the rule vocabulary's crisp input values."""
     return {
-        "emotion": valence_score(event.emotion_probs),
+        "emotion": event.valence,
         "sound": event.sound_norm,
         "head_angle": event.head_angle_deg,
     }
@@ -97,13 +95,10 @@ class Engine:
 
     rulebase: RuleBase
     input_variables: dict[str, LinguisticVariable]
-    output_variables: dict[str, LinguisticVariable]
     weights: AppraisalWeights = DEFAULT_WEIGHTS
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
     resolution: int = DEFAULT_RESOLUTION
     compiled: CompiledRules = field(init=False, repr=False, compare=False)
-    # The perception route's head-angle variable when no input variable is one.
-    head_fallback: LinguisticVariable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.thresholds) != set(ACTION_CHANNELS):
@@ -115,8 +110,7 @@ class Engine:
             if not (isinstance(value, (int, float)) and math.isfinite(value)
                     and 0.0 < value < 1.0):
                 raise ConfigError(f"threshold for {channel} must be in (0, 1), got {value!r}")
-        if self.resolution < 2:
-            raise ConfigError(f"resolution must be >= 2, got {self.resolution}")
+        check_resolution(self.resolution)
         for name, terms in self.rulebase.variables.items():
             var = self.input_variables.get(name)
             if var is None:
@@ -126,20 +120,16 @@ class Engine:
                 raise ConfigError(
                     f"variable {name!r} is missing terms {sorted(missing)} used by the rule base"
                 )
-        head = self.input_variables.get("head_angle")
-        if head is not None and "normal" not in head.term_names:
-            raise ConfigError("variable 'head_angle' needs a 'normal' term, "
-                              "which the perception route reads")
-        for channel, var_name in CHANNEL_OUTPUTS.items():
-            if var_name not in self.output_variables:
-                raise ConfigError(f"missing output variable {var_name!r} for channel {channel}")
-        for name in sorted(self.input_variables):
+        for name in sorted(set(self.input_variables) | set(EVENT_INPUTS)):
             if name not in EVENT_INPUTS:
                 raise ConfigError(f"no event field feeds input variable {name!r}")
+            if name not in self.input_variables:
+                raise ConfigError(f"missing input variable {name!r}, which the event feeds")
+        if "normal" not in self.input_variables["head_angle"].term_names:
+            raise ConfigError("variable 'head_angle' needs a 'normal' term, "
+                              "which the perception route reads")
         object.__setattr__(self, "compiled", CompiledRules(
-            self.rulebase, self.input_variables, self.output_variables, self.resolution))
-        object.__setattr__(self, "head_fallback", None if head is not None
-                           else default_head_angle_variable())
+            self.rulebase, self.input_variables, self.resolution))
 
     @classmethod
     def default(cls, weights: AppraisalWeights = DEFAULT_WEIGHTS,
@@ -149,7 +139,6 @@ class Engine:
         return cls(
             rulebase=rulebase if rulebase is not None else default_rulebase(),
             input_variables=default_input_variables(),
-            output_variables=default_output_variables(),
             weights=weights,
             thresholds=thresholds if thresholds is not None else default_thresholds(),
             resolution=resolution,
@@ -166,8 +155,6 @@ class Engine:
                 clamped.append(name)
             if name == "head_angle":
                 head_normalcy = fuzzified.degrees["normal"]
-        if self.head_fallback is not None:
-            head_normalcy = fuzzify(self.head_fallback, event.head_angle_deg).degrees["normal"]
 
         fired, x_fkbs, degenerate = self.compiled.evaluate(degrees)
 

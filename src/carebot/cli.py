@@ -19,7 +19,7 @@ from .errors import (CarebotError, ConfigError, EvaluationError,
 from .evaluation import (load_fixture, matrix_from_events, predict_dominant,
                          render_table, report)
 from .fuzzy import EMOTION_LABELS
-from .inference import ACTION_CHANNELS, default_output_variables
+from .inference import ACTION_CHANNELS
 from .perception import load_trace
 from .rules import EXPRESSIONS, default_rulebase, parse_rulebase, serialize_rulebase
 
@@ -135,7 +135,6 @@ def _build_engine(args) -> tuple[Engine, EngineConfig]:
     return Engine(
         rulebase=rulebase,
         input_variables=dict(config.variables),
-        output_variables=default_output_variables(),
         weights=config.weights,
         thresholds=dict(config.thresholds),
         resolution=config.resolution,
@@ -210,6 +209,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _alerts(record: dict) -> bool:
+    """Whether a log record alerts: its ``actions`` is a list naming call_nurses."""
+    actions = record.get("actions")
+    return isinstance(actions, list) and "call_nurses" in actions
+
+
 def cmd_report(args) -> int:
     records, diagnostics = log_read(args.log, start=args.since, end=args.until,
                                     subject=args.subject)
@@ -225,7 +230,7 @@ def cmd_report(args) -> int:
 
     for subject in sorted(subjects):
         rows = subjects[subject]
-        alert_count = sum(1 for r in rows if "call_nurses" in r.get("actions", []))
+        alert_count = sum(map(_alerts, rows))
         print(f"subject {subject}: {len(rows)} events, {alert_count} alerts")
         for r in rows:
             state = "?"
@@ -235,7 +240,7 @@ def cmd_report(args) -> int:
                 state = predict_dominant(probs)
             valence = r.get("valence")
             valence_text = f"{valence:+.2f}" if isinstance(valence, (int, float)) else "?"
-            flags = " ALERT" if "call_nurses" in r.get("actions", []) else ""
+            flags = " ALERT" if _alerts(r) else ""
             print(f"  t={r['timestamp']:g} state={state} valence={valence_text} "
                   f"expression={r.get('expression', '?')}{flags}")
     return EXIT_OK

@@ -15,7 +15,7 @@ from .appraisal import AppraisalWeights, DEFAULT_WEIGHTS
 from .errors import CarebotError, ConfigError, is_number
 from .fuzzy import (MembershipFunction, LinguisticVariable,
                     default_input_variables, triangle, trapezoid)
-from .inference import ACTION_CHANNELS, DEFAULT_RESOLUTION
+from .inference import ACTION_CHANNELS, DEFAULT_RESOLUTION, check_resolution
 
 _TOP_KEYS = ("weights", "thresholds", "resolution", "rules_path", "log_path",
              "variables")
@@ -139,10 +139,8 @@ def load_config(path) -> EngineConfig:
         config = replace(config,
                          thresholds=_parse_thresholds(data["thresholds"], config.thresholds))
     if "resolution" in data:
-        resolution = data["resolution"]
-        if not isinstance(resolution, int) or resolution < 2:
-            raise ConfigError(f"resolution must be an integer >= 2, got {resolution!r}")
-        config = replace(config, resolution=resolution)
+        check_resolution(data["resolution"])
+        config = replace(config, resolution=data["resolution"])
     if "rules_path" in data and data["rules_path"] is not None:
         if not isinstance(data["rules_path"], str):
             raise ConfigError("rules_path must be a string path")

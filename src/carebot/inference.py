@@ -17,10 +17,10 @@ For that low/high ramp pair the sampled sums have a closed form
 (:func:`ramp_wcog`) whose cost does not depend on the number of samples;
 any other output variable is sampled on its grid.
 
-:class:`CompiledRules` is what an engine runs per event: the rule base and
-the channels' output sets flattened once into numpy tables. ``fire_rules``,
-``aggregate`` and ``defuzzify_wcog`` are the same stages one at a time; the
-compiled form gives bit-identical results.
+:class:`CompiledRules` is what an engine runs per event: the rule base
+flattened once into numpy tables. ``fire_rules``, ``aggregate`` and
+``defuzzify_wcog`` are the same stages one at a time, for any output
+variable; on the stock ones the compiled form gives bit-identical results.
 """
 
 import math
@@ -33,6 +33,8 @@ from .fuzzy import FuzzifiedValue, LinguisticVariable, membership_grid, trapezoi
 from .rules import Atom, BinOp, Condition, Consequent, Rule, RuleBase
 
 DEFAULT_RESOLUTION = 1001
+# Above 2**53, N * l no longer names a grid index exactly (see ramp_wcog).
+MAX_RESOLUTION = 2**53
 
 # Appraisal channel -> output variable carrying its rule-driven intensity.
 CHANNEL_OUTPUTS = {
@@ -79,6 +81,13 @@ def default_output_variables() -> dict[str, LinguisticVariable]:
     """One intensity variable per action channel, ramp terms low/high on [0, 1]."""
     return {name: LinguisticVariable(name=name, universe=(0.0, 1.0), terms=RAMP_TERMS)
             for name in CHANNEL_OUTPUTS.values()}
+
+
+def check_resolution(resolution) -> None:
+    """Reject a sample count that is not an int in [2, MAX_RESOLUTION]."""
+    if isinstance(resolution, bool) or not isinstance(resolution, int) \
+            or not 2 <= resolution <= MAX_RESOLUTION:
+        raise ConfigError(f"resolution must be an integer in [2, 2**53], got {resolution!r}")
 
 
 def is_ramp_pair(var: LinguisticVariable) -> bool:
@@ -294,14 +303,8 @@ def _antecedent_program(antecedents: list[Condition], slots: dict[tuple[str, str
     return tuple(program), roots, size
 
 
-def _sampled_terms(var: LinguisticVariable, resolution: int):
-    """The sample grid on ``var``'s universe and each term's membership on it."""
-    xs = np.linspace(*var.universe, resolution)
-    return xs, np.array([membership_grid(mf, xs) for _, mf in var.terms])
-
-
 class CompiledRules:
-    """A rule base and the channels' output sets, compiled for one engine.
+    """A rule base compiled for one engine over the stock ramp channels.
 
     Built once from values that do not change over the engine's lifetime:
 
@@ -309,20 +312,17 @@ class CompiledRules:
       order and terms in declaration order;
     - a level-ordered min/max program over the antecedents, rules sorted by
       id (see :func:`_antecedent_program`);
-    - a weight table (channel, term, rule): the rule's weight where its
-      consequent asserts that term of the channel's output variable, else 0;
-    - per channel, nothing for the low/high ramp pair, which
-      :func:`ramp_wcog` sums in closed form; for any other output variable,
-      the sample grid and every term's membership on it.
+    - a weight table (channel, ramp term, rule): the rule's weight where its
+      consequent asserts that term of the channel, else 0.
 
     :meth:`evaluate` then does per event what ``fire_rules``, ``aggregate``
-    and ``defuzzify_wcog`` do, with the same float operations: min and max
-    are exact, ``min(s, 1) * w`` is the same multiply, a ramp channel calls
-    the same :func:`ramp_wcog` and a sampled channel makes the same 1-D sums.
+    and ``defuzzify_wcog`` do on ``default_output_variables()``, with the
+    same float operations: min and max are exact, ``min(s, 1) * w`` is the
+    same multiply, and every channel calls the same :func:`ramp_wcog`.
     """
 
     def __init__(self, rulebase: RuleBase, input_variables: dict[str, LinguisticVariable],
-                 output_variables: dict[str, LinguisticVariable], resolution: int):
+                 resolution: int):
         self.inputs = tuple(sorted(input_variables.items()))
         slots = {}
         for name, var in self.inputs:
@@ -335,23 +335,13 @@ class CompiledRules:
         self.program, self.roots, self.size = _antecedent_program(
             [rule.antecedent for rule in rules], slots)
 
-        outputs = [output_variables[CHANNEL_OUTPUTS[channel]] for channel in ACTION_CHANNELS]
-        width = max(len(var.terms) for var in outputs)
-        self.weights = np.zeros((len(outputs), width, len(rules)))
-        self.resolution = resolution
-        self.universes = tuple(var.universe for var in outputs)
-        channel_of = {var.name: c for c, var in enumerate(outputs)}
+        channel_of = {CHANNEL_OUTPUTS[channel]: c for c, channel in enumerate(ACTION_CHANNELS)}
+        term_of = {term: t for t, (term, _) in enumerate(RAMP_TERMS)}
+        self.weights = np.zeros((len(ACTION_CHANNELS), len(RAMP_TERMS), len(rules)))
         for r, rule in enumerate(rules):
             for variable, term in consequent_assertions(rule.consequent):
-                var = outputs[channel_of[variable]]
-                if term not in var.term_names:
-                    raise ConfigError(
-                        f"rule {rule.id} asserts unknown term {term!r} on {variable!r}"
-                    )
-                self.weights[channel_of[variable], var.term_names.index(term), r] = rule.weight
-        # Per channel: None for a ramp pair, else (samples, term memberships on them).
-        self.grids = tuple(None if is_ramp_pair(var) else _sampled_terms(var, resolution)
-                           for var in outputs)
+                self.weights[channel_of[variable], term_of[term], r] = rule.weight
+        self.resolution = resolution
 
     def evaluate(self, degrees: list[float]):
         """Term degrees in slot order -> (fired rules, crisp value per channel,
@@ -369,18 +359,10 @@ class CompiledRules:
 
         crisp = {}
         degenerate = {}
-        for channel, clips, grid, (lo, hi) in zip(ACTION_CHANNELS, agg.tolist(), self.grids,
-                                                  self.universes):
-            if grid is None:
-                total, moment = ramp_wcog(clips[0], clips[1], self.resolution)
-            else:
-                xs, memberships = grid
-                clips = np.array(clips[:len(memberships)])
-                mu = np.minimum(clips[:, None], memberships).max(axis=0)
-                total = float(mu.sum())
-                moment = float((xs * mu).sum())
+        for channel, (low, high) in zip(ACTION_CHANNELS, agg.tolist()):
+            total, moment = ramp_wcog(low, high, self.resolution)
             degenerate[channel] = total == 0.0
-            crisp[channel] = 0.0 if total == 0.0 else min(max(moment / total, lo), hi)
+            crisp[channel] = 0.0 if total == 0.0 else min(max(moment / total, 0.0), 1.0)
         fired = tuple((rule_id, strength)
                       for rule_id, strength in zip(self.rule_ids, strengths.tolist())
                       if strength > 0.0)

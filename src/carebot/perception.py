@@ -10,7 +10,7 @@ problem, never a crash.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import Diagnostic, TraceError, ValidationError, is_number
 from .fuzzy import EMOTION_LABELS, valence_score
@@ -34,6 +34,7 @@ class PerceptionEvent:
     head_angle_deg: float
     user_action: str | None = None
     truth_emotion: str | None = None
+    valence: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "emotion_probs",
@@ -42,7 +43,8 @@ class PerceptionEvent:
             raise ValidationError(f"timestamp must be >= 0, got {self.timestamp!r}")
         if not self.subject_id:
             raise ValidationError("subject_id must be a non-empty string")
-        valence_score(self.emotion_probs)  # enforces length, sign, and sum
+        # valence_score enforces length, sign, and sum.
+        object.__setattr__(self, "valence", valence_score(self.emotion_probs))
         if not 0.0 <= self.sound_norm <= 1.0:
             raise ValidationError(f"sound_norm must be in [0, 1], got {self.sound_norm!r}")
         if not 0.0 <= self.head_angle_deg <= 90.0:
@@ -53,10 +55,6 @@ class PerceptionEvent:
             raise ValidationError(
                 f"truth_emotion must be one of {EMOTION_LABELS}, got {self.truth_emotion!r}"
             )
-
-    @property
-    def valence(self) -> float:
-        return valence_score(self.emotion_probs)
 
     def to_dict(self) -> dict:
         record = {

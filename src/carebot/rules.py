@@ -91,7 +91,7 @@ class Rule:
 class RuleBase:
     """Declared variable/term names plus an ordered list of validated rules.
 
-    Variable definitions (universes, membership functions) live in the
+    Variable definitions (universe bounds, membership functions) live in the
     engine configuration; the rule base only knows the vocabulary.
     """
 

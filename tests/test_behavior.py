@@ -10,7 +10,7 @@ from carebot.behavior import (BehaviorDecision, Engine, EventLog,
                               serialize_record)
 from carebot.errors import ConfigError, ValidationError
 from carebot.fuzzy import default_input_variables
-from carebot.inference import ACTION_CHANNELS, default_output_variables
+from carebot.inference import ACTION_CHANNELS
 from carebot.perception import PerceptionEvent
 from carebot.rules import parse_rulebase
 
@@ -175,18 +175,7 @@ class TestEngineValidation:
             "VAR pulse: low, normal, high\n"
             "RULE 1: IF pulse IS high THEN no_action, call_nurses, record_data\n")
         with pytest.raises(ConfigError, match="pulse"):
-            Engine(rulebase=rb, input_variables=default_input_variables(),
-                   output_variables=default_output_variables())
-
-    def test_missing_output_variable(self):
-        outputs = default_output_variables()
-        del outputs["expression_intensity"]
-        with pytest.raises(ConfigError, match="expression_intensity"):
-            Engine(rulebase=parse_rulebase(
-                       "VAR sound: low, normal, high\n"
-                       "RULE 1: IF sound IS high THEN record_data\n"),
-                   input_variables=default_input_variables(),
-                   output_variables=outputs)
+            Engine(rulebase=rb, input_variables=default_input_variables())
 
 
 class TestEventLog:

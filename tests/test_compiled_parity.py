@@ -22,7 +22,7 @@ from carebot.cli import main
 from carebot.errors import ConfigError
 from carebot.fuzzy import (EMOTION_LABELS, LinguisticVariable,
                            default_input_variables, fuzzify,
-                           three_term_variable, trapezoid)
+                           three_term_variable)
 from carebot.inference import (ACTION_CHANNELS, CHANNEL_OUTPUTS, aggregate,
                                default_output_variables, defuzzify_wcog,
                                fire_rules)
@@ -55,7 +55,7 @@ def reference_decide(engine: Engine, event: PerceptionEvent) -> BehaviorDecision
     x_fkbs = {}
     degenerate = {}
     for channel in ACTION_CHANNELS:
-        var = engine.output_variables[CHANNEL_OUTPUTS[channel]]
+        var = default_output_variables()[CHANNEL_OUTPUTS[channel]]
         out = defuzzify_wcog(aggregate(firings, engine.rulebase, var), var, engine.resolution)
         x_fkbs[channel] = 0.0 if out.degenerate else out.value
         degenerate[channel] = out.degenerate
@@ -176,16 +176,6 @@ def narrow_inputs() -> dict[str, LinguisticVariable]:
     }
 
 
-def custom_outputs() -> dict[str, LinguisticVariable]:
-    """The record channel on a narrower universe with three terms; the other
-    channels keep two, so the compiled grids are padded."""
-    outputs = default_output_variables()
-    name = CHANNEL_OUTPUTS["record_data"]
-    outputs[name] = three_term_variable(name, (0.1, 0.8), (0.2, 0.45, 0.7),
-                                        ("low", "medium", "high"))
-    return outputs
-
-
 def test_random_bases_resolutions_and_variables_are_bit_identical():
     rng = random.Random(4002)
     resolutions = (2, 7, 1001)
@@ -195,7 +185,6 @@ def test_random_bases_resolutions_and_variables_are_bit_identical():
         engine = Engine(
             rulebase=rulebase,
             input_variables=narrow_inputs() if b % 3 == 1 else default_input_variables(),
-            output_variables=custom_outputs() if b % 4 == 2 else default_output_variables(),
             resolution=resolutions[b % len(resolutions)],
         )
         decisions = assert_parity(
@@ -207,8 +196,7 @@ def test_random_bases_resolutions_and_variables_are_bit_identical():
 
 def test_rule_base_without_rules_reads_every_channel_degenerate():
     engine = Engine(rulebase=RuleBase(variables={}, rules=()),
-                    input_variables=default_input_variables(),
-                    output_variables=default_output_variables())
+                    input_variables=default_input_variables())
     event = dominant_event(random.Random(4003), 0.0)
     assert_parity(engine, [event])
     assert all(engine.decide(event).degenerate_flags.values())
@@ -227,17 +215,7 @@ class TestBuildTimeChecks:
         with pytest.raises(ConfigError, match="no event field feeds input variable 'pulse'"):
             Engine(rulebase=parse_rulebase("VAR sound: low, normal, high\n"
                                            "RULE 1: IF sound IS high THEN record_data\n"),
-                   input_variables=variables, output_variables=default_output_variables())
-
-    def test_unknown_asserted_term_fails_at_build(self):
-        outputs = default_output_variables()
-        name = CHANNEL_OUTPUTS["smile"]
-        outputs[name] = LinguisticVariable(name=name, universe=(0.0, 1.0), terms=(
-            ("off", trapezoid(0.0, 0.0, 0.0, 1.0)), ("on", trapezoid(0.0, 1.0, 1.0, 1.0))))
-        with pytest.raises(ConfigError, match="asserts unknown term 'high'"):
-            Engine(rulebase=parse_rulebase("VAR sound: low, normal, high\n"
-                                           "RULE 1: IF sound IS high THEN smile\n"),
-                   input_variables=default_input_variables(), output_variables=outputs)
+                   input_variables=variables)
 
     def test_cli_reports_unfed_variable_before_any_event(self, tmp_path, capsys):
         # A trace with no events never reaches decide: the check runs at build.

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carebot import appraisal, inference
-from carebot.appraisal import p_activations
 from carebot.behavior import Engine
+from carebot.errors import ConfigError
 from carebot.fuzzy import (LinguisticVariable, default_emotion_variable,
                            default_sound_variable, trapezoid)
 from carebot.inference import (AggregatedOutput, default_output_variables,
@@ -138,13 +138,10 @@ def test_decide_fuzzifies_the_head_angle_once(monkeypatch):
     assert engine.decide(EVENT) == expected
 
 
-def test_engine_without_head_angle_input_reads_the_stock_head_variable():
+def test_engine_without_head_angle_input_is_config_error():
     rulebase = parse_rulebase("VAR sound: low, normal, high\n"
                               "RULE 1: IF sound IS low THEN call_nurses\n")
-    headless = Engine(rulebase=rulebase,
-                      input_variables={"emotion": default_emotion_variable(),
-                                       "sound": default_sound_variable()},
-                      output_variables=default_output_variables())
-    stock_inputs = Engine.default(rulebase=rulebase)
-    assert 0.0 < p_activations(EVENT)["call_nurses"] < 1.0
-    assert headless.decide(EVENT) == stock_inputs.decide(EVENT)
+    with pytest.raises(ConfigError, match="missing input variable 'head_angle'"):
+        Engine(rulebase=rulebase,
+               input_variables={"emotion": default_emotion_variable(),
+                                "sound": default_sound_variable()})
