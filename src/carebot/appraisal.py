@@ -73,16 +73,19 @@ class CognitiveOutput:
     provenance: dict[str, tuple[float, float, float]]
 
 
+def fuse_channel(weights: AppraisalWeights, ea: float, fkbs: float, p: float) -> float:
+    """One channel's convex combination of its three route activations."""
+    return weights.w_ea * ea + weights.w_fkbs * fkbs + weights.w_p * p
+
+
 def fuse(weights: AppraisalWeights, acts: ChannelActivations) -> CognitiveOutput:
     """Per-channel convex combination of the three activation maps."""
     c_o = {}
     provenance = {}
     for channel in ACTION_CHANNELS:
-        ea = acts.x_ea[channel]
-        fkbs = acts.x_fkbs[channel]
-        p = acts.x_p[channel]
-        c_o[channel] = weights.w_ea * ea + weights.w_fkbs * fkbs + weights.w_p * p
-        provenance[channel] = (ea, fkbs, p)
+        routes = (acts.x_ea[channel], acts.x_fkbs[channel], acts.x_p[channel])
+        c_o[channel] = fuse_channel(weights, *routes)
+        provenance[channel] = routes
     return CognitiveOutput(c_o=c_o, weights=weights, provenance=provenance)
 
 

@@ -15,10 +15,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .appraisal import (AppraisalWeights, ChannelActivations, DEFAULT_WEIGHTS,
-                        ea_activations, fuse, perception_activations)
+from .appraisal import (AppraisalWeights, DEFAULT_WEIGHTS, ea_activations,
+                        fuse_channel, perception_activations)
 from .errors import ConfigError, Diagnostic, ValidationError, is_number
-from .fuzzy import LinguisticVariable, default_input_variables, fuzzify
+from .fuzzy import LinguisticVariable, default_input_variables, membership_degree
 from .inference import (ACTION_CHANNELS, DEFAULT_RESOLUTION, CompiledRules,
                         check_resolution)
 from .perception import PerceptionEvent
@@ -31,17 +31,13 @@ def default_thresholds() -> dict[str, float]:
     return {channel: DEFAULT_THRESHOLD for channel in ACTION_CHANNELS}
 
 
-# The input variables an event feeds, as crisp_inputs names them.
-EVENT_INPUTS = ("emotion", "sound", "head_angle")
+# Each input variable an event feeds -> the PerceptionEvent field feeding it.
+EVENT_INPUTS = {"emotion": "valence", "sound": "sound_norm", "head_angle": "head_angle_deg"}
 
 
 def crisp_inputs(event: PerceptionEvent) -> dict[str, float]:
     """Map an event onto the rule vocabulary's crisp input values."""
-    return {
-        "emotion": event.valence,
-        "sound": event.sound_norm,
-        "head_angle": event.head_angle_deg,
-    }
+    return {name: getattr(event, attr) for name, attr in EVENT_INPUTS.items()}
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,8 @@ class BehaviorDecision:
 class Engine:
     """Validated bundle of everything decide() needs, plus decide() itself.
 
-    Frozen, so the rule tables compiled at build cannot go stale.
+    Frozen, so the tables built with it cannot go stale: the compiled rules
+    and, in their slot order, each input's event field, bounds and terms.
     """
 
     rulebase: RuleBase
@@ -99,6 +96,8 @@ class Engine:
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
     resolution: int = DEFAULT_RESOLUTION
     compiled: CompiledRules = field(init=False, repr=False, compare=False)
+    fuzzify_table: tuple = field(init=False, repr=False, compare=False)
+    head_normal_slot: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.thresholds) != set(ACTION_CHANNELS):
@@ -128,8 +127,12 @@ class Engine:
         if "normal" not in self.input_variables["head_angle"].term_names:
             raise ConfigError("variable 'head_angle' needs a 'normal' term, "
                               "which the perception route reads")
-        object.__setattr__(self, "compiled", CompiledRules(
-            self.rulebase, self.input_variables, self.resolution))
+        compiled = CompiledRules(self.rulebase, self.input_variables, self.resolution)
+        object.__setattr__(self, "compiled", compiled)
+        object.__setattr__(self, "fuzzify_table", tuple(
+            (name, EVENT_INPUTS[name], *var.universe, tuple(mf for _, mf in var.terms))
+            for name, var in compiled.inputs))
+        object.__setattr__(self, "head_normal_slot", compiled.slot_of[("head_angle", "normal")])
 
     @classmethod
     def default(cls, weights: AppraisalWeights = DEFAULT_WEIGHTS,
@@ -145,27 +148,28 @@ class Engine:
         )
 
     def decide(self, event: PerceptionEvent) -> BehaviorDecision:
-        crisp = crisp_inputs(event)
+        """The stage functions' decision, bit for bit, in one pass: each input
+        is clamped as ``fuzzify`` clamps it, its degrees go straight into the
+        kernel's slots, and the routes blend by :func:`fuse_channel`. The
+        event was checked when it was built and is not checked again.
+        """
         degrees = []
         clamped = []
-        for name, var in self.compiled.inputs:
-            fuzzified = fuzzify(var, crisp[name])
-            degrees.extend(fuzzified.degrees.values())
-            if fuzzified.clamped:
+        for name, attr, lo, hi, mfs in self.fuzzify_table:
+            x = getattr(event, attr)
+            at = min(max(x, lo), hi)
+            if at != x:
                 clamped.append(name)
-            if name == "head_angle":
-                head_normalcy = fuzzified.degrees["normal"]
-
+            for mf in mfs:
+                degrees.append(membership_degree(mf, at))
         fired, x_fkbs, degenerate = self.compiled.evaluate(degrees)
 
-        valence = crisp["emotion"]
-        activations = ChannelActivations(
-            x_ea=ea_activations(valence, event.emotion_probs),
-            x_fkbs=x_fkbs,
-            x_p=perception_activations(event.sound_norm, head_normalcy),
-        )
-        cognitive = fuse(self.weights, activations)
-        c_o = cognitive.c_o
+        valence = event.valence
+        x_ea = ea_activations(valence, event.emotion_probs)
+        x_p = perception_activations(event.sound_norm, degrees[self.head_normal_slot])
+        weights = self.weights
+        c_o = {channel: fuse_channel(weights, x_ea[channel], x_fkbs[channel], x_p[channel])
+               for channel in ACTION_CHANNELS}
 
         # record_data is unconditional: every stock rule logs, and a care
         # record with holes is worse than a noisy one.

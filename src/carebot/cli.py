@@ -239,7 +239,10 @@ def cmd_report(args) -> int:
                     and all(map(is_number, probs)):
                 state = predict_dominant(probs)
             valence = r.get("valence")
-            valence_text = f"{valence:+.2f}" if isinstance(valence, (int, float)) else "?"
+            try:
+                valence_text = f"{valence:+.2f}" if isinstance(valence, (int, float)) else "?"
+            except OverflowError:  # an int beyond the float range
+                valence_text = "?"
             flags = " ALERT" if _alerts(r) else ""
             print(f"  t={r['timestamp']:g} state={state} valence={valence_text} "
                   f"expression={r.get('expression', '?')}{flags}")

@@ -123,7 +123,8 @@ def load_config(path) -> EngineConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = yaml.safe_load(handle)
-        except yaml.YAMLError as err:
+        except (yaml.YAMLError, ValueError, RecursionError) as err:
+            # ValueError: an integer over 4,300 digits; RecursionError: deep nesting.
             raise ConfigError(f"{path}: invalid YAML: {err}") from None
     if raw is None:
         return default_config()

@@ -309,7 +309,7 @@ class CompiledRules:
     Built once from values that do not change over the engine's lifetime:
 
     - one term-degree slot per (input variable, term), variables in sorted
-      order and terms in declaration order;
+      order and terms in declaration order (``slot_of``);
     - a level-ordered min/max program over the antecedents, rules sorted by
       id (see :func:`_antecedent_program`);
     - a weight table (channel, ramp term, rule): the rule's weight where its
@@ -317,8 +317,8 @@ class CompiledRules:
 
     :meth:`evaluate` then does per event what ``fire_rules``, ``aggregate``
     and ``defuzzify_wcog`` do on ``default_output_variables()``, with the
-    same float operations: min and max are exact, ``min(s, 1) * w`` is the
-    same multiply, and every channel calls the same :func:`ramp_wcog`.
+    same float operations: min and max are exact, ``s * w`` equals
+    ``min(s, 1) * w`` as s <= 1, and every channel calls the same :func:`ramp_wcog`.
     """
 
     def __init__(self, rulebase: RuleBase, input_variables: dict[str, LinguisticVariable],
@@ -328,6 +328,7 @@ class CompiledRules:
         for name, var in self.inputs:
             for term in var.term_names:
                 slots[(name, term)] = len(slots)
+        self.slot_of = slots
         self.slots = len(slots)
 
         rules = sorted(rulebase.rules, key=lambda r: r.id)
@@ -347,15 +348,17 @@ class CompiledRules:
         """Term degrees in slot order -> (fired rules, crisp value per channel,
         degenerate flag per channel).
 
-        Fired rules are (id, strength) pairs with strength > 0, by id. A
-        channel with no membership mass is degenerate and reads 0.0.
+        Degrees must be in [0, 1], as ``membership_degree`` gives them, so
+        strengths are too. Fired rules are (id, strength) pairs with
+        strength > 0, by id. A channel with no membership mass is degenerate
+        and reads 0.0.
         """
         values = np.empty(self.size)
         values[:self.slots] = degrees
         for ufunc, left, right, out in self.program:
             ufunc(values[left], values[right], out=values[out])
         strengths = values[self.roots]
-        agg = (self.weights * np.minimum(strengths, 1.0)).max(axis=2, initial=0.0)
+        agg = (self.weights * strengths).max(axis=2, initial=0.0)
 
         crisp = {}
         degenerate = {}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from carebot.cli import main
 from carebot.config import EngineConfig, default_config, load_config
 from carebot.errors import ConfigError
 
@@ -174,3 +175,20 @@ class TestModel:
         config = EngineConfig()
         with pytest.raises(AttributeError):
             config.resolution = 5
+
+
+@pytest.mark.parametrize("text", (
+    pytest.param("resolution: 1" + "0" * 5000 + "\n", id="integer_over_digit_limit"),
+    pytest.param("weights: " + "[" * 50_000 + "]" * 50_000 + "\n", id="deep_nesting")))
+def test_yaml_the_parser_cannot_build_is_config_error(tmp_path, nine_rules_trace_path, capsys,
+                                                      text):
+    # Python refuses to convert an integer string over 4,300 digits, and the
+    # YAML composer recurses once per nesting level; both are invalid YAML
+    # here, not a crash.
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="invalid YAML"):
+        load_config(path)
+    code = main(["simulate", "--trace", str(nine_rules_trace_path), "--deterministic",
+                 "--config", str(path)])
+    assert code == 2
+    assert "invalid YAML" in capsys.readouterr().err

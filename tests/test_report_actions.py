@@ -31,3 +31,13 @@ def test_a_list_naming_call_nurses_alerts(tmp_path, capsys):
     assert code == 0
     assert "subject a: 1 events, 1 alerts" in out
     assert out.rstrip().endswith(" ALERT")
+
+
+def test_valence_beyond_the_float_range_prints_a_question_mark(tmp_path, capsys):
+    path = tmp_path / "log.jsonl"
+    record = {**RECORD, "actions": ["record_data"]}
+    path.write_text(json.dumps(record).replace('"valence": 0.0', '"valence": 1' + "0" * 400)
+                    + "\n", encoding="utf-8")
+    code = main(["report", "--log", str(path)])
+    assert code == 0
+    assert "valence=? " in capsys.readouterr().out
