@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .appraisal import (AppraisalWeights, DEFAULT_WEIGHTS, ea_activations,
                         fuse_channel, perception_activations)
-from .errors import ConfigError, Diagnostic, ValidationError, is_number
+from .errors import ConfigError, Diagnostic, ValidationError, decode_json_line, is_number
 from .fuzzy import LinguisticVariable, default_input_variables, membership_degree
 from .inference import (ACTION_CHANNELS, DEFAULT_RESOLUTION, CompiledRules,
                         check_resolution)
@@ -67,19 +67,6 @@ class BehaviorDecision:
     @property
     def alerting(self) -> bool:
         return "call_nurses" in self.actions
-
-    def to_dict(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "subject_id": self.subject_id,
-            "actions": list(self.actions),
-            "expression": self.expression,
-            "fired_rules": [[rid, strength] for rid, strength in self.fired_rules],
-            "c_o": dict(self.c_o),
-            "degenerate_flags": dict(self.degenerate_flags),
-            "clamped_inputs": list(self.clamped_inputs),
-            "valence": self.valence,
-        }
 
 
 @dataclass(frozen=True)
@@ -200,12 +187,23 @@ class Engine:
 def decision_record(event: PerceptionEvent, decision: BehaviorDecision) -> dict:
     """Flat log record: the event snapshot plus every decision field."""
     record = event.to_dict()
-    record.update(decision.to_dict())
+    record["timestamp"] = decision.timestamp
+    record["subject_id"] = decision.subject_id
+    record["actions"] = list(decision.actions)
+    record["expression"] = decision.expression
+    record["fired_rules"] = [[rid, strength] for rid, strength in decision.fired_rules]
+    record["c_o"] = dict(decision.c_o)
+    record["degenerate_flags"] = dict(decision.degenerate_flags)
+    record["clamped_inputs"] = list(decision.clamped_inputs)
+    record["valence"] = decision.valence
     return record
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def serialize_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
+    return _ENCODER.encode(record)
 
 
 # Bytes read per step when scanning a log backwards for its last record.
@@ -214,53 +212,59 @@ TAIL_BLOCK_BYTES = 8192
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
-def _is_timestamp(value) -> bool:
-    """A number that is a finite float. ``json`` parses NaN, Infinity and
-    integers beyond the float range, none of which is a time."""
-    try:
-        return is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
+def _parse_record(line: str):
+    """What one log line holds: ``(record, None)``, ``(None, (column,
+    message))`` if it is corrupt, or ``(None, None)`` if it is blank.
 
-
-def _record_timestamp(raw: bytes):
-    """The timestamp of one log line if it is a record, else None."""
-    if not raw.strip():
-        return None
-    try:
-        obj = json.loads(raw.decode("utf-8", errors="replace"))
-    except (ValueError, RecursionError):  # corrupt, over-long, too deep
-        return None
+    A record is, after ``str.strip()``, a JSON object with a finite float
+    ``timestamp`` and a string ``subject_id``. Reopening a log and
+    :func:`log_read` both read lines through this, so they agree.
+    """
+    line = line.strip()
+    if not line:
+        return None, None
+    obj, error = decode_json_line(line)
+    if error is not None:
+        return None, error
     ts = obj.get("timestamp") if isinstance(obj, dict) else None
-    return ts if _is_timestamp(ts) else None
+    try:  # json parses NaN, Infinity and integers beyond the float range, none a time
+        is_record = is_number(ts) and math.isfinite(ts) and isinstance(obj.get("subject_id"), str)
+    except OverflowError:
+        is_record = False
+    return (obj, None) if is_record else (None, (1, "record lacks timestamp/subject_id"))
+
+
+def _lines_backwards(handle):
+    """The lines of a file open in binary mode, last first, undecoded.
+
+    Reads back from the end in blocks, so a caller that stops early reads
+    only the tail. Lines split as in text mode; a line that straddles blocks
+    is joined as bytes. A CR LF pair cut by a block boundary reads as two
+    breaks around an empty line.
+    """
+    pos = handle.seek(0, os.SEEK_END)
+    pieces = []  # the line being gathered, its last block first
+    while pos > 0:
+        step = min(pos, TAIL_BLOCK_BYTES)
+        pos -= step
+        handle.seek(pos)
+        parts = _LINE_BREAK.split(handle.read(step))
+        pieces.append(parts.pop())
+        if parts:
+            yield b"".join(reversed(pieces))
+            yield from reversed(parts[1:])
+            pieces = [parts[0]]
+    yield b"".join(reversed(pieces))
 
 
 def _last_timestamp(path):
-    """Timestamp of the last line of the log that is a record, or None.
-
-    Reads back from the end in blocks and stops at the first record. Lines
-    split as in text mode; a line that straddles blocks is joined as bytes
-    before it is decoded. A CR LF pair cut by a block boundary reads as two
-    breaks around an empty line, which is never a record.
-    """
+    """Timestamp of the last line of the log that is a record, or None."""
     with open(path, "rb") as handle:
-        pos = handle.seek(0, os.SEEK_END)
-        pieces = []  # the line being gathered, its last block first
-        while pos > 0:
-            step = min(pos, TAIL_BLOCK_BYTES)
-            pos -= step
-            handle.seek(pos)
-            parts = _LINE_BREAK.split(handle.read(step))
-            pieces.append(parts.pop())
-            if not parts:
-                continue
-            lines = [b"".join(reversed(pieces)), *reversed(parts[1:])]
-            pieces = [parts[0]]
-            for raw in lines:
-                ts = _record_timestamp(raw)
-                if ts is not None:
-                    return ts
-        return _record_timestamp(b"".join(reversed(pieces)))
+        for raw in _lines_backwards(handle):
+            record, _ = _parse_record(raw.decode("utf-8", errors="replace"))
+            if record is not None:
+                return record["timestamp"]
+    return None
 
 
 class EventLog:
@@ -328,30 +332,14 @@ def log_read(path, start: float | None = None, end: float | None = None,
     records = []
     diagnostics = []
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                diagnostics.append(Diagnostic(line_no, err.colno, "corrupt",
-                                              f"invalid JSON: {err.msg}"))
-                continue
-            except (ValueError, RecursionError) as err:  # over-long integer, deep nesting
-                diagnostics.append(Diagnostic(line_no, 1, "corrupt", f"invalid JSON: {err}"))
-                continue
-            if not isinstance(obj, dict) or not _is_timestamp(obj.get("timestamp")) \
-                    or not isinstance(obj.get("subject_id"), str):
-                diagnostics.append(Diagnostic(line_no, 1, "corrupt",
-                                              "record lacks timestamp/subject_id"))
-                continue
-            records.append(obj)
-    if start is not None:
-        records = [r for r in records if r["timestamp"] >= start]
-    if end is not None:
-        records = [r for r in records if r["timestamp"] <= end]
-    if subject is not None:
-        records = [r for r in records if r["subject_id"] == subject]
+        for line_no, line in enumerate(handle, start=1):
+            record, error = _parse_record(line)
+            if error is not None:
+                column, message = error
+                diagnostics.append(Diagnostic(line_no, column, "corrupt", message))
+            elif record is not None and (start is None or record["timestamp"] >= start) \
+                    and (end is None or record["timestamp"] <= end) \
+                    and (subject is None or record["subject_id"] == subject):
+                records.append(record)
     records.sort(key=lambda r: r["timestamp"])
     return records, diagnostics

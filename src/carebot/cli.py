@@ -152,14 +152,13 @@ def cmd_simulate(args) -> int:
     if not args.deterministic:
         print(f"run started {datetime.now().isoformat(timespec='seconds')}")
 
-    decisions = [engine.decide(event) for event in trace.events]
-
     log_path = args.log or config.log_path
     log = EventLog(log_path) if log_path else None
     try:
         alerts = 0
         expression_counts = {name: 0 for name in EXPRESSIONS}
-        for event, decision in zip(trace.events, decisions):
+        for event in trace.events:
+            decision = engine.decide(event)
             if log is not None:
                 log.append(event, decision)
             expression_counts[decision.expression] += 1

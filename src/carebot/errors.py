@@ -1,11 +1,24 @@
 """Exception types, positioned diagnostics and input checks shared across the engine."""
 
+import json
 from dataclasses import dataclass
 
 
 def is_number(value) -> bool:
     """An int or float from outside input; JSON and YAML booleans are not."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def decode_json_line(line: str):
+    """Decode one line of a JSON-lines file (traces and the decision log):
+    ``(value, None)``, or ``(None, (column, message))`` if it is not JSON.
+    Integers too long to convert and nesting too deep to parse are not JSON."""
+    try:
+        return json.loads(line), None
+    except json.JSONDecodeError as err:
+        return None, (err.colno, f"invalid JSON: {err.msg}")
+    except (ValueError, RecursionError) as err:
+        return None, (1, f"invalid JSON: {err}")
 
 
 @dataclass(frozen=True)

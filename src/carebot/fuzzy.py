@@ -22,9 +22,6 @@ EMOTION_LABELS = ("anger", "happiness", "sadness", "surprise", "disgust", "fear"
 
 PROB_SUM_TOL = 1e-6
 
-# Grid on which a variable's terms are checked to cover its universe.
-COVERAGE_SAMPLES = 2001
-
 
 @dataclass(frozen=True)
 class MembershipFunction:
@@ -129,13 +126,14 @@ class LinguisticVariable:
                     f"{self.name}.{term}: support [{s_lo}, {s_hi}] outside "
                     f"universe [{lo}, {hi}]"
                 )
-        xs = np.linspace(lo, hi, COVERAGE_SAMPLES)
-        covered = np.zeros(len(xs), dtype=bool)
-        for _, mf in self.terms:
-            covered |= membership_grid(mf, xs) > 0.0
-        if not covered.all():
-            gap = xs[~covered][0]
-            raise ValidationError(f"{self.name}: no term covers x={gap:g}")
+        # Exact, not sampled: between two neighbouring breakpoints every term
+        # is one linear piece, positive on all of that open interval or on none
+        # of it, so the breakpoints and one midpoint per pair decide coverage.
+        # Each end is halved before adding, so the midpoint cannot overflow.
+        points = sorted({lo, hi, *(p for _, mf in self.terms for p in mf.params)})
+        for x in sorted(points + [u / 2 + v / 2 for u, v in zip(points, points[1:])]):
+            if not any(membership_degree(mf, x) for _, mf in self.terms):
+                raise ValidationError(f"{self.name}: no term covers x={x:g}")
 
     @property
     def term_names(self) -> tuple[str, ...]:

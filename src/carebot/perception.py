@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import Diagnostic, TraceError, ValidationError, is_number
+from .errors import Diagnostic, TraceError, ValidationError, decode_json_line, is_number
 from .fuzzy import EMOTION_LABELS, valence_score
 
 SCHEMA_VERSION = 1
@@ -137,9 +137,6 @@ def load_trace(path, lenient: bool = False) -> Trace:
     unknown key, bad header) and range violation (value outside its contract)
     is collected into one :class:`TraceError` with its line number.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        lines = handle.read().splitlines()
-
     diagnostics: list[Diagnostic] = []
     events: list[PerceptionEvent] = []
     header = None
@@ -147,75 +144,72 @@ def load_trace(path, lenient: bool = False) -> Trace:
     subjects = None
     last_timestamp = None
 
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            diagnostics.append(Diagnostic(line_no, err.colno, "schema",
-                                          f"invalid JSON: {err.msg}"))
-            continue
-        except (ValueError, RecursionError) as err:  # over-long integer, deep nesting
-            diagnostics.append(Diagnostic(line_no, 1, "schema", f"invalid JSON: {err}"))
-            continue
-        if not isinstance(obj, dict):
-            diagnostics.append(Diagnostic(line_no, 1, "schema",
-                                          f"expected an object, got {_type_name(obj)}"))
-            continue
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            obj, error = decode_json_line(line)
+            if error is not None:
+                column, message = error
+                diagnostics.append(Diagnostic(line_no, column, "schema", message))
+                continue
+            if not isinstance(obj, dict):
+                diagnostics.append(Diagnostic(line_no, 1, "schema",
+                                              f"expected an object, got {_type_name(obj)}"))
+                continue
 
-        if header is None:
-            header = obj
-            header_line = line_no
-            version = obj.get("schema_version")
-            if isinstance(version, bool) or version != SCHEMA_VERSION:
-                diagnostics.append(Diagnostic(
-                    line_no, 1, "schema",
-                    f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"))
-            roster = obj.get("subjects")
-            if roster is not None:
-                if isinstance(roster, list) and all(isinstance(s, str) for s in roster):
-                    subjects = tuple(roster)
-                else:
-                    diagnostics.append(Diagnostic(line_no, 1, "schema",
-                                                  "subjects must be a list of strings"))
-            if not lenient:
-                for key in obj:
-                    if key not in _HEADER_KEYS:
+            if header is None:
+                header = obj
+                header_line = line_no
+                version = obj.get("schema_version")
+                if isinstance(version, bool) or version != SCHEMA_VERSION:
+                    diagnostics.append(Diagnostic(
+                        line_no, 1, "schema",
+                        f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"))
+                roster = obj.get("subjects")
+                if roster is not None:
+                    if isinstance(roster, list) and all(isinstance(s, str) for s in roster):
+                        subjects = tuple(roster)
+                    else:
                         diagnostics.append(Diagnostic(line_no, 1, "schema",
-                                                      f"unknown header field {key!r}"))
-            continue
+                                                      "subjects must be a list of strings"))
+                if not lenient:
+                    for key in obj:
+                        if key not in _HEADER_KEYS:
+                            diagnostics.append(Diagnostic(line_no, 1, "schema",
+                                                          f"unknown header field {key!r}"))
+                continue
 
-        shape_problems = _check_event_shape(obj, lenient)
-        if shape_problems:
-            diagnostics.extend(Diagnostic(line_no, 1, code, msg)
-                               for code, msg in shape_problems)
-            continue
-        try:
-            event = PerceptionEvent(
-                timestamp=obj["timestamp"],
-                subject_id=obj["subject_id"],
-                emotion_probs=obj["emotion_probs"],
-                sound_norm=obj["sound_norm"],
-                head_angle_deg=obj["head_angle_deg"],
-                user_action=obj.get("user_action"),
-                truth_emotion=obj.get("truth_emotion"),
-            )
-        except (ValidationError, OverflowError) as err:  # OverflowError: int beyond float
-            diagnostics.append(Diagnostic(line_no, 1, "range", str(err)))
-            continue
-        if subjects is not None and event.subject_id not in subjects:
-            diagnostics.append(Diagnostic(line_no, 1, "schema",
-                                          f"subject {event.subject_id!r} not in header roster"))
-            continue
-        if last_timestamp is not None and event.timestamp < last_timestamp:
-            diagnostics.append(Diagnostic(
-                line_no, 1, "range",
-                f"timestamps must be non-decreasing, {event.timestamp} after {last_timestamp}"))
-            continue
-        last_timestamp = event.timestamp
-        events.append(event)
+            shape_problems = _check_event_shape(obj, lenient)
+            if shape_problems:
+                diagnostics.extend(Diagnostic(line_no, 1, code, msg)
+                                   for code, msg in shape_problems)
+                continue
+            try:
+                event = PerceptionEvent(
+                    timestamp=obj["timestamp"],
+                    subject_id=obj["subject_id"],
+                    emotion_probs=obj["emotion_probs"],
+                    sound_norm=obj["sound_norm"],
+                    head_angle_deg=obj["head_angle_deg"],
+                    user_action=obj.get("user_action"),
+                    truth_emotion=obj.get("truth_emotion"),
+                )
+            except (ValidationError, OverflowError) as err:  # OverflowError: int beyond float
+                diagnostics.append(Diagnostic(line_no, 1, "range", str(err)))
+                continue
+            if subjects is not None and event.subject_id not in subjects:
+                diagnostics.append(Diagnostic(line_no, 1, "schema",
+                                              f"subject {event.subject_id!r} not in header roster"))
+                continue
+            if last_timestamp is not None and event.timestamp < last_timestamp:
+                diagnostics.append(Diagnostic(
+                    line_no, 1, "range",
+                    f"timestamps must be non-decreasing, {event.timestamp} after {last_timestamp}"))
+                continue
+            last_timestamp = event.timestamp
+            events.append(event)
 
     if header is None:
         diagnostics.append(Diagnostic(1, 1, "schema", "empty trace: missing header line"))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from carebot.errors import ValidationError
-from carebot.fuzzy import (EMOTION_LABELS, LinguisticVariable,
-                           MembershipFunction, default_emotion_variable,
+from carebot.fuzzy import (EMOTION_LABELS, TRAPEZOIDAL, TRIANGULAR,
+                           LinguisticVariable, MembershipFunction,
+                           default_emotion_variable,
                            default_head_angle_variable,
                            default_input_variables, default_sound_variable,
                            fuzzify, membership_degree, membership_grid,
@@ -82,10 +83,10 @@ class TestMembershipFunctions:
             trapezoid(0.0, 1.0, 2.0, float("inf"))
 
     def test_rejects_wrong_param_count(self):
-        with pytest.raises(ValidationError):
-            MembershipFunction(shape="triangle", params=(0.0, 1.0))
-        with pytest.raises(ValidationError):
-            MembershipFunction(shape="trapezoid", params=(0.0, 1.0, 2.0))
+        with pytest.raises(ValidationError, match="breakpoints"):
+            MembershipFunction(shape=TRIANGULAR, params=(0.0, 1.0))
+        with pytest.raises(ValidationError, match="breakpoints"):
+            MembershipFunction(shape=TRAPEZOIDAL, params=(0.0, 1.0, 2.0))
 
 
 class TestLinguisticVariables:
@@ -121,6 +122,43 @@ class TestLinguisticVariables:
                 universe=(0.0, 1.0),
                 terms={"left": triangle(0.0, 0.1, 0.2), "right": triangle(0.8, 0.9, 1.0)},
             )
+
+    def test_coverage_gap_between_samples_rejected(self):
+        # Every term is 0 on the open interval (0.5, 0.50001), which falls
+        # between two points of a 2,001-point sample grid over [0, 1].
+        with pytest.raises(ValidationError, match=r"no term covers x=0\.500005$"):
+            LinguisticVariable(
+                name="split",
+                universe=(0.0, 1.0),
+                terms={"low": trapezoid(0.0, 0.0, 0.5, 0.5),
+                       "high": trapezoid(0.50001, 0.50001, 1.0, 1.0)},
+            )
+
+    @pytest.mark.parametrize("terms, gap", [
+        # Both edges fall to 0 at 0.5: the point itself is a dead zone.
+        ({"low": trapezoid(0.0, 0.0, 0.3, 0.5), "high": trapezoid(0.5, 0.7, 1.0, 1.0)}, "0.5"),
+        # A triangle is 0 at its feet, so it leaves the universe bounds bare.
+        ({"mid": triangle(0.0, 0.5, 1.0)}, "0"),
+        ({"low": trapezoid(0.0, 0.0, 0.5, 1.0)}, "1"),
+    ])
+    def test_coverage_gap_at_an_open_end_rejected(self, terms, gap):
+        with pytest.raises(ValidationError, match=rf"no term covers x={gap}$"):
+            LinguisticVariable(name="bare", universe=(0.0, 1.0), terms=terms)
+
+    @pytest.mark.parametrize("terms", [
+        # A closed end covers the point where the next term starts from 0.
+        {"low": trapezoid(0.0, 0.0, 0.5, 0.5), "high": trapezoid(0.5, 0.7, 1.0, 1.0)},
+        # A vertical edge is 1 at the breakpoint itself.
+        {"low": triangle(0.0, 0.0, 0.5), "high": trapezoid(0.2, 0.5, 0.5, 1.0),
+         "top": triangle(0.9, 1.0, 1.0)},
+        # One point term is enough to close a single-point gap.
+        {"low": trapezoid(0.0, 0.0, 0.3, 0.5), "at": trapezoid(0.5, 0.5, 0.5, 0.5),
+         "high": trapezoid(0.5, 0.7, 1.0, 1.0)},
+    ])
+    def test_exact_cover_accepted(self, terms):
+        var = LinguisticVariable(name="tight", universe=(0.0, 1.0), terms=terms)
+        for x in (0.0, 0.5, 1.0, *np.linspace(0.0, 1.0, 1001)):
+            assert max(fuzzify(var, float(x)).degrees.values()) > 0.0
 
     def test_support_outside_universe_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,7 +5,9 @@ parses lines back from the end only until it meets a record. The property
 below holds it to the full parse it replaced, kept here as ``full_parse``:
 the same count, the same last timestamp (seen through which appends are
 accepted) and the same bytes after one append, for any mix of lines and any
-block size. A boolean is not a timestamp, in either reader.
+block size. ``full_parse`` takes a line for a record exactly when the README
+does: after ``str.strip()``, a JSON object with a finite float ``timestamp``
+and a string ``subject_id``. A boolean is not a timestamp, in either reader.
 """
 
 import json
@@ -44,11 +46,15 @@ def full_parse(path):
                 continue
             count += 1
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.strip())
             except (ValueError, RecursionError):
                 continue
             ts = obj.get("timestamp") if isinstance(obj, dict) else None
-            if is_number(ts):
+            try:
+                finite = is_number(ts) and math.isfinite(ts)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if finite and isinstance(obj.get("subject_id"), str):
                 last = ts
     return count, last, not line.endswith("\n")
 
@@ -76,6 +82,14 @@ long_records = st.builds(record, timestamps, st.text(min_size=64, max_size=400))
 non_numeric_timestamps = st.builds(
     lambda ts: dumps({"timestamp": ts, "subject_id": "a"}),
     st.booleans() | st.text(max_size=3) | st.none() | st.lists(st.integers(), max_size=2))
+# A timestamp that makes no record: no subject_id, or one that is not a string.
+subjectless = st.builds(
+    lambda ts, subject: dumps({"timestamp": ts, **subject}), timestamps,
+    st.sampled_from([{}, {"subject_id": 7}, {"subject_id": None}, {"subject_id": True},
+                     {"subject_id": ["p01"]}]))
+# str.strip() whitespace that is not JSON whitespace, before a record.
+prefixed = st.builds(lambda prefix, line: prefix + line,
+                     st.sampled_from(["\u00a0".encode(), b"\x0b", b"\x1c"]), records)
 non_objects = st.sampled_from([b"[1]", b"7", b'"text"', b"null", b"true",
                                b'[{"timestamp": 3, "subject_id": "a"}]'])
 blanks = st.sampled_from([b"", b" ", b"\t  ", "\u00a0".encode(), "\u2028".encode(),
@@ -91,8 +105,8 @@ bad_utf8 = st.builds(
 deep = st.sampled_from([b"[" * 5000,
                         b'{"timestamp": 4, "d": ' + b"[" * 5000 + b"]" * 5000 + b"}",
                         b'{"timestamp": 5, "d": [[[[[[1]]]]]], "subject_id": "a"}'])
-contents = (records | long_records | non_numeric_timestamps | non_objects | blanks
-            | corrupt | bad_utf8 | deep)
+contents = (records | long_records | non_numeric_timestamps | subjectless | prefixed
+            | non_objects | blanks | corrupt | bad_utf8 | deep)
 breaks = st.sampled_from([b"\n", b"\r\n", b"\r"])
 
 
@@ -120,6 +134,8 @@ TWO_RECORDS = record(1.5) + b"\n" + record(2.5) + b"\n"
 # A "\r\n" cut by the block boundary, and a torn record after the last break.
 @example(data=record(8) + b"\r\n" + record(9)[:-1], block=len(record(9)))
 @example(data=record(3) + b"\n" + BOOLEAN_LINE.encode() + b"\n\n   \r", block=5)
+@example(data=record(1) + b"\n" + b'{"timestamp": 9.0}\n', block=behavior.TAIL_BLOCK_BYTES)
+@example(data=record(5) + b"\n\xc2\xa0" + record(2) + b"\n", block=behavior.TAIL_BLOCK_BYTES)
 def test_open_matches_a_full_parse(data, block):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(behavior, "TAIL_BLOCK_BYTES", block)
