@@ -7,6 +7,7 @@ wall-clock banner line.
 """
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from datetime import datetime
@@ -15,13 +16,14 @@ from .appraisal import AppraisalWeights
 from .behavior import Engine, EventLog, log_read
 from .config import EngineConfig, default_config, load_config
 from .errors import (CarebotError, ConfigError, EvaluationError,
-                     RuleBaseError, TraceError, ValidationError, is_number)
+                     RuleBaseError, TraceError, ValidationError, is_number, read_utf8)
 from .evaluation import (load_fixture, matrix_from_events, predict_dominant,
                          render_table, report)
 from .fuzzy import EMOTION_LABELS
 from .inference import ACTION_CHANNELS
 from .perception import load_trace
-from .rules import EXPRESSIONS, default_rulebase, parse_rulebase, serialize_rulebase
+from .rules import (EXPRESSIONS, RuleBase, default_rulebase, parse_rulebase,
+                    serialize_rulebase)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,10 +105,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+def shown_id(subject_id: str) -> str:
+    """A subject id as printed: as it is when it is plain printable text, else
+    JSON-quoted. Plain means non-empty, no whitespace or other unprintable
+    character, and no leading quote, so a printed id can neither add a line
+    nor pass for another id."""
+    if subject_id.isprintable() and subject_id and " " not in subject_id \
+            and subject_id[0] != '"':
+        return subject_id
+    return json.dumps(subject_id)
+
+
 def _print_diagnostics(path, diagnostics, stream=None):
     stream = stream or sys.stderr
     for diag in diagnostics:
         print(f"{path}:{diag}", file=stream)
+
+
+def _load_rulebase(path) -> RuleBase:
+    """Parse a rule file; its diagnostics are printed with the path, then raised."""
+    text, problem = read_utf8(path)
+    try:
+        if problem is not None:
+            raise RuleBaseError([problem])
+        return parse_rulebase(text)
+    except RuleBaseError as err:
+        _print_diagnostics(path, err.diagnostics)
+        raise
 
 
 def _build_engine(args) -> tuple[Engine, EngineConfig]:
@@ -121,16 +146,7 @@ def _build_engine(args) -> tuple[Engine, EngineConfig]:
         config = replace(config, resolution=args.resolution)
 
     rules_path = args.rules or config.rules_path
-    if rules_path:
-        with open(rules_path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        try:
-            rulebase = parse_rulebase(text)
-        except RuleBaseError as err:
-            _print_diagnostics(rules_path, err.diagnostics)
-            raise
-    else:
-        rulebase = default_rulebase()
+    rulebase = _load_rulebase(rules_path) if rules_path else default_rulebase()
 
     return Engine(
         rulebase=rulebase,
@@ -164,7 +180,7 @@ def cmd_simulate(args) -> int:
             expression_counts[decision.expression] += 1
             if decision.alerting:
                 alerts += 1
-                print(f"ALERT t={decision.timestamp:g} subject={decision.subject_id} "
+                print(f"ALERT t={decision.timestamp:g} subject={shown_id(decision.subject_id)} "
                       f"call_nurses={decision.c_o['call_nurses']:.3f}")
     finally:
         if log is not None:
@@ -180,12 +196,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.rules, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        rulebase = parse_rulebase(text)
-    except RuleBaseError as err:
-        _print_diagnostics(args.rules, err.diagnostics)
+        rulebase = _load_rulebase(args.rules)
+    except RuleBaseError:
         return EXIT_DATA
     print(serialize_rulebase(rulebase), end="")
     return EXIT_OK
@@ -230,7 +243,7 @@ def cmd_report(args) -> int:
     for subject in sorted(subjects):
         rows = subjects[subject]
         alert_count = sum(map(_alerts, rows))
-        print(f"subject {subject}: {len(rows)} events, {alert_count} alerts")
+        print(f"subject {shown_id(subject)}: {len(rows)} events, {alert_count} alerts")
         for r in rows:
             state = "?"
             probs = r.get("emotion_probs")

@@ -9,8 +9,6 @@ a YAML file overrides only the keys it names.
 import math
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 from .appraisal import AppraisalWeights, DEFAULT_WEIGHTS
 from .errors import CarebotError, ConfigError, is_number
 from .fuzzy import (MembershipFunction, LinguisticVariable,
@@ -120,6 +118,8 @@ def _parse_variable(name: str, raw) -> LinguisticVariable:
 
 def load_config(path) -> EngineConfig:
     """Load a YAML config; keys not present keep their defaults."""
+    import yaml
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = yaml.safe_load(handle)

@@ -21,6 +21,25 @@ def decode_json_line(line: str):
         return None, (1, f"invalid JSON: {err}")
 
 
+def read_utf8(path):
+    """The text of a UTF-8 file, line ends read as text mode reads them
+    (``\\r\\n`` and ``\\r`` become ``\\n``), and None; or ``""`` and a
+    :class:`Diagnostic` at the first byte that is not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return _newlines(data.decode("utf-8")), None
+    except UnicodeDecodeError as err:
+        before = _newlines(data[:err.start].decode("utf-8"))
+        line_start = before.rfind("\n") + 1
+        return "", Diagnostic(before.count("\n") + 1, len(before) - line_start + 1, "encoding",
+                              f"invalid UTF-8 byte 0x{data[err.start]:02x}")
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     """One positioned problem report (1-based line/column, column may be 0)."""

@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, ValidationError, read_utf8
 from .fuzzy import EMOTION_LABELS
 
 ROW_SUM_TOL = 0.2
@@ -149,21 +149,31 @@ def load_fixture(path) -> AccuracyReport:
     the overall figure the table's source asserts. The first data row is a
     header: ``label`` followed by the class names in column order.
     """
+    text, problem = read_utf8(path)
+    if problem is not None:
+        raise EvaluationError(f"{path}:{problem}")
     claimed = None
     data_rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                text = line.lstrip().lstrip("#").strip()
-                if text.startswith("claimed_overall:"):
-                    claimed = float(text.split(":", 1)[1].strip())
-                continue
-            data_rows.append(line)
-    reader = csv.reader(data_rows, delimiter="\t")
-    table = [row for row in reader]
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("#"):
+            comment = line.lstrip().lstrip("#").strip()
+            if comment.startswith("claimed_overall:"):
+                value = comment.split(":", 1)[1].strip()
+                try:
+                    claimed = float(value)
+                except ValueError:
+                    claimed = math.nan
+                if not math.isfinite(claimed):
+                    raise EvaluationError(f"{path}:line {line_no}: claimed_overall must be "
+                                          f"a finite number, got {value!r}")
+            continue
+        data_rows.append(line)
+    try:
+        table = list(csv.reader(data_rows, delimiter="\t"))
+    except csv.Error as err:
+        raise EvaluationError(f"{path}: {err}") from None
     if not table or table[0][:1] != ["label"]:
         raise EvaluationError(f"{path}: expected a header row starting with 'label'")
     labels = tuple(table[0][1:])

@@ -10,8 +10,6 @@ at its bounds.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 TRIANGULAR = "triangular"
@@ -49,6 +47,9 @@ class MembershipFunction:
             raise ValidationError(f"non-finite breakpoint in {self.params}")
         if any(p2 < p1 for p1, p2 in zip(self.params, self.params[1:])):
             raise ValidationError(f"breakpoints must be non-decreasing, got {self.params}")
+        # Then no edge's x - a or c - x overflows, so no degree is NaN.
+        if not math.isfinite(self.params[-1] - self.params[0]):
+            raise ValidationError(f"breakpoints span more than the float range: {self.params}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -82,8 +83,10 @@ def membership_degree(mf: MembershipFunction, x: float) -> float:
     return (c - x) / (c - hi)
 
 
-def membership_grid(mf: MembershipFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`membership_degree` over a sample grid."""
+def membership_grid(mf: MembershipFunction, xs):
+    """Vectorized :func:`membership_degree` over a numpy sample grid."""
+    import numpy as np
+
     if mf.shape == TRIANGULAR:
         a, b, c = mf.params
         lo, hi = b, b

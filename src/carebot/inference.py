@@ -18,19 +18,19 @@ For that low/high ramp pair the sampled sums have a closed form
 any other output variable is sampled on its grid.
 
 :class:`CompiledRules` is what an engine runs per event: the rule base
-flattened once into numpy tables. ``fire_rules``, ``aggregate`` and
-``defuzzify_wcog`` are the same stages one at a time, for any output
-variable; on the stock ones the compiled form gives bit-identical results.
+generated once into one straight-line Python function. ``fire_rules``,
+``aggregate`` and ``defuzzify_wcog`` are the same stages one at a time, for
+any output variable; on the stock ones the compiled form gives
+bit-identical results.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 from .errors import ConfigError, EvaluationError
 from .fuzzy import FuzzifiedValue, LinguisticVariable, membership_grid, trapezoid
-from .rules import Atom, BinOp, Condition, Consequent, Rule, RuleBase
+from .rules import Atom, Condition, Consequent, Rule, RuleBase
 
 DEFAULT_RESOLUTION = 1001
 # Above 2**53, N * l no longer names a grid index exactly (see ramp_wcog).
@@ -243,6 +243,8 @@ def defuzzify_wcog(agg: AggregatedOutput, var: LinguisticVariable,
         total, moment = ramp_wcog(agg.degrees.get("low", 0.0), agg.degrees.get("high", 0.0),
                                   resolution)
     else:
+        import numpy as np
+
         xs = np.linspace(lo, hi, resolution)
         mu = np.zeros(resolution)
         for term, mf in var.terms:
@@ -256,51 +258,64 @@ def defuzzify_wcog(agg: AggregatedOutput, var: LinguisticVariable,
     return CrispOutput(var.name, min(max(moment / total, lo), hi), degenerate=False)
 
 
-def _antecedent_program(antecedents: list[Condition], slots: dict[tuple[str, str], int]):
-    """Level-ordered min/max program over every antecedent tree.
+def _kernel_source(rules: list[Rule], slots: dict[tuple[str, str], int]) -> str:
+    """Python source of ``evaluate(degrees)`` for rules sorted by id.
 
-    Values 0..len(slots)-1 are the term degrees; each AND/OR node gets the
-    next free index, grouped by height and operator so that one ufunc call
-    evaluates a whole group into a contiguous slice. Children sit at lower
-    heights, so every step reads only values already computed. Returns the
-    steps, the value index of each antecedent and the number of values.
+    Only slot indices, ``repr`` of float weights and the channel names of
+    ``ACTION_CHANNELS`` enter the text; the rule ids are the global ``IDS``.
+    Each distinct AND/OR node, its operands taken in either order, is one
+    local, so repeated subtrees are computed once; a node over two equal
+    operands is that operand, and a clip repeated within one term's max is
+    listed once. All of this is exact: on values that are never NaN or
+    -0.0, min and max do not depend on operand order or repetition.
     """
-    groups: dict[tuple[int, str], list[BinOp]] = {}
+    lines = [f"    {''.join(f'd{i}, ' for i in range(len(slots)))}= degrees"] if slots else []
+    local_of: dict[tuple[str, str, str], str] = {}
 
-    def height(node: Condition) -> int:
+    def ref(node: Condition) -> str:
         if isinstance(node, Atom):
-            return 0
-        h = 1 + max(height(node.left), height(node.right))
-        groups.setdefault((h, node.op), []).append(node)
-        return h
+            slot = slots.get((node.variable, node.term))
+            if slot is None:
+                raise ConfigError(
+                    f"rule base tests {node.variable!r} IS {node.term!r}, "
+                    f"which no input variable defines"
+                )
+            return f"d{slot}"
+        left, right = ref(node.left), ref(node.right)
+        if left == right:  # min(a, a) and max(a, a) are a
+            return left
+        if right < left:
+            left, right = right, left
+        key = (left, "<=" if node.op == "AND" else ">=", right)
+        name = local_of.get(key)
+        if name is None:
+            local_of[key] = name = f"n{len(local_of)}"
+            lines.append(f"    {name} = {left} if {left} {key[1]} {right} else {right}")
+        return name
 
-    for antecedent in antecedents:
-        height(antecedent)
-
-    index: dict[int, int] = {}
-
-    def ref(node: Condition) -> int:
-        if not isinstance(node, Atom):
-            return index[id(node)]
-        if (node.variable, node.term) not in slots:
-            raise ConfigError(
-                f"rule base tests {node.variable!r} IS {node.term!r}, "
-                f"which no input variable defines"
-            )
-        return slots[(node.variable, node.term)]
-
-    program = []
-    size = len(slots)
-    for (_, op), nodes in sorted(groups.items()):
-        left = np.array([ref(node.left) for node in nodes], dtype=np.intp)
-        right = np.array([ref(node.right) for node in nodes], dtype=np.intp)
-        for offset, node in enumerate(nodes):
-            index[id(node)] = size + offset
-        ufunc = np.minimum if op == "AND" else np.maximum
-        program.append((ufunc, left, right, slice(size, size + len(nodes))))
-        size += len(nodes)
-    roots = np.array([ref(antecedent) for antecedent in antecedents], dtype=np.intp)
-    return tuple(program), roots, size
+    strengths = [ref(rule.antecedent) for rule in rules]
+    lines.append(f"    strengths = ({''.join(f'{s}, ' for s in strengths)})")
+    # terms[(channel, ramp term)]: what each asserting rule clips that term at.
+    terms: dict[tuple[str, str], list[str]] = {}
+    channel_of = {variable: channel for channel, variable in CHANNEL_OUTPUTS.items()}
+    for rule, strength in zip(rules, strengths):
+        weight = float(rule.weight)
+        if not math.isfinite(weight):
+            raise ConfigError(f"rule {rule.id}: weight must be finite, got {rule.weight!r}")
+        clip = strength if weight == 1.0 else f"{strength} * {weight!r}"
+        for variable, term in consequent_assertions(rule.consequent):
+            terms.setdefault((channel_of[variable], term), []).append(clip)
+    crisp, degenerate = [], []
+    for c, channel in enumerate(ACTION_CHANNELS):
+        low, high = (f"max(0.0, {', '.join(dict.fromkeys(terms[(channel, term)]))})"
+                     if (channel, term) in terms else "0.0" for term, _ in RAMP_TERMS)
+        lines.append(f"    t{c}, m{c} = ramp_wcog({low}, {high}, RESOLUTION)")
+        crisp.append(f"{channel!r}: 0.0 if t{c} == 0.0 else min(max(m{c} / t{c}, 0.0), 1.0)")
+        degenerate.append(f"{channel!r}: t{c} == 0.0")
+    lines.append("    return (tuple(compress(zip(IDS, strengths), strengths)),")
+    lines.append(f"            {{{', '.join(crisp)}}},")
+    lines.append(f"            {{{', '.join(degenerate)}}})")
+    return "def evaluate(degrees):\n" + "\n".join(lines) + "\n"
 
 
 class CompiledRules:
@@ -310,15 +325,20 @@ class CompiledRules:
 
     - one term-degree slot per (input variable, term), variables in sorted
       order and terms in declaration order (``slot_of``);
-    - a level-ordered min/max program over the antecedents, rules sorted by
-      id (see :func:`_antecedent_program`);
-    - a weight table (channel, ramp term, rule): the rule's weight where its
-      consequent asserts that term of the channel, else 0.
+    - ``source``: one generated Python function of the degree list (see
+      :func:`_kernel_source`), compiled into ``evaluate``: a conditional
+      per distinct AND/OR node, ``max(0.0, ...)`` of ``s * w`` per
+      (channel, ramp term) and :func:`ramp_wcog` per channel.
 
-    :meth:`evaluate` then does per event what ``fire_rules``, ``aggregate``
-    and ``defuzzify_wcog`` do on ``default_output_variables()``, with the
-    same float operations: min and max are exact, ``s * w`` equals
-    ``min(s, 1) * w`` as s <= 1, and every channel calls the same :func:`ramp_wcog`.
+    ``evaluate(degrees)`` then does per event what ``fire_rules``,
+    ``aggregate`` and ``defuzzify_wcog`` do on ``default_output_variables()``,
+    with the same float operations: min and max are exact (degrees are never
+    NaN or -0.0, so the conditionals pick the value ``min`` and ``max``
+    would), ``s * w`` equals ``min(s, 1) * w`` as s <= 1, and every channel
+    calls the same :func:`ramp_wcog`. Degrees in slot order go in, and out
+    come the fired rules, (id, strength) pairs with strength > 0 by id; the
+    crisp value per channel; and its degenerate flag. A channel with no
+    membership mass is degenerate and reads 0.0.
     """
 
     def __init__(self, rulebase: RuleBase, input_variables: dict[str, LinguisticVariable],
@@ -329,44 +349,9 @@ class CompiledRules:
             for term in var.term_names:
                 slots[(name, term)] = len(slots)
         self.slot_of = slots
-        self.slots = len(slots)
-
         rules = sorted(rulebase.rules, key=lambda r: r.id)
-        self.rule_ids = tuple(rule.id for rule in rules)
-        self.program, self.roots, self.size = _antecedent_program(
-            [rule.antecedent for rule in rules], slots)
-
-        channel_of = {CHANNEL_OUTPUTS[channel]: c for c, channel in enumerate(ACTION_CHANNELS)}
-        term_of = {term: t for t, (term, _) in enumerate(RAMP_TERMS)}
-        self.weights = np.zeros((len(ACTION_CHANNELS), len(RAMP_TERMS), len(rules)))
-        for r, rule in enumerate(rules):
-            for variable, term in consequent_assertions(rule.consequent):
-                self.weights[channel_of[variable], term_of[term], r] = rule.weight
-        self.resolution = resolution
-
-    def evaluate(self, degrees: list[float]):
-        """Term degrees in slot order -> (fired rules, crisp value per channel,
-        degenerate flag per channel).
-
-        Degrees must be in [0, 1], as ``membership_degree`` gives them, so
-        strengths are too. Fired rules are (id, strength) pairs with
-        strength > 0, by id. A channel with no membership mass is degenerate
-        and reads 0.0.
-        """
-        values = np.empty(self.size)
-        values[:self.slots] = degrees
-        for ufunc, left, right, out in self.program:
-            ufunc(values[left], values[right], out=values[out])
-        strengths = values[self.roots]
-        agg = (self.weights * strengths).max(axis=2, initial=0.0)
-
-        crisp = {}
-        degenerate = {}
-        for channel, (low, high) in zip(ACTION_CHANNELS, agg.tolist()):
-            total, moment = ramp_wcog(low, high, self.resolution)
-            degenerate[channel] = total == 0.0
-            crisp[channel] = 0.0 if total == 0.0 else min(max(moment / total, 0.0), 1.0)
-        fired = tuple((rule_id, strength)
-                      for rule_id, strength in zip(self.rule_ids, strengths.tolist())
-                      if strength > 0.0)
-        return fired, crisp, degenerate
+        self.source = _kernel_source(rules, slots)
+        namespace = {"IDS": tuple(rule.id for rule in rules), "RESOLUTION": resolution,
+                     "compress": compress, "ramp_wcog": ramp_wcog}
+        exec(compile(self.source, "<compiled rules>", "exec"), namespace)
+        self.evaluate = namespace["evaluate"]

@@ -18,6 +18,7 @@ instead of stopping at the first.
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import Diagnostic, RuleBaseError, RuleSyntaxError, RuleValidationError
 
@@ -26,19 +27,26 @@ EXPRESSIONS = ("neutral", "smile")
 
 _KEYWORDS = frozenset({"RULE", "VAR", "IF", "THEN", "IS", "AND", "OR", "WEIGHT"})
 
+# One match per token, whitespace before it skipped. The NUMBER group is
+# named after its token kind; a character no token starts with matches ``bad``.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[:,()])
+    \s*
+    (?:
+        (?P<NUMBER>\d+(?:\.\d+)?)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[:,()])
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A 1-based line and column in rule text. A named tuple: the parser makes
+    two per atom, and a tuple is quicker to build than a frozen dataclass."""
+
     line: int
     column: int
 
@@ -109,36 +117,25 @@ class ParseContext:
         self.variables[name] = terms
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind  # KEYWORD, IDENT, NUMBER, ':', ',', '(', ')', EOL
-        self.text = text
-        self.line = line
-        self.column = column
+# A token is (kind, text, line, column). Its kind is the keyword itself, IDENT,
+# NUMBER, the punctuation character or EOL.
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str, line_no: int) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RuleSyntaxError(
-                Diagnostic(line_no, pos + 1, "syntax", f"unexpected character {text[pos]!r}")
-            )
-        if m.lastgroup != "ws":
-            value = m.group()
-            if m.lastgroup == "word":
-                kind = "KEYWORD" if value in _KEYWORDS else "IDENT"
-            elif m.lastgroup == "number":
-                kind = "NUMBER"
-            else:
-                kind = value
-            tokens.append(_Token(kind, value, line_no, pos + 1))
-        pos = m.end()
-    tokens.append(_Token("EOL", "", line_no, len(text) + 1))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        value = m[group]
+        if group == "word":
+            kind = value if value in _KEYWORDS else "IDENT"
+        elif group == "bad":
+            raise RuleSyntaxError(Diagnostic(line_no, m.start(group) + 1, "syntax",
+                                             f"unexpected character {value!r}"))
+        else:
+            kind = value if group == "punct" else group
+        tokens.append((kind, value, line_no, m.start(group) + 1))
+    tokens.append(("EOL", "", line_no, len(text) + 1))
     return tokens
 
 
@@ -146,122 +143,97 @@ class _Parser:
     """Recursive-descent parser over one statement's token list."""
 
     def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def _fail(self, message: str, token: _Token | None = None):
-        tok = token or self.current
-        raise RuleSyntaxError(Diagnostic(tok.line, tok.column, "syntax", message))
+        self._rest = iter(tokens)
+        self.current = next(self._rest)
 
     def take(self) -> _Token:
         tok = self.current
-        self.index += 1
+        self.current = next(self._rest, tok)  # the last token, EOL, stays current
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        if self.current.kind != kind:
-            found = self.current.text or "end of line"
-            self._fail(f"expected {what}, found {found!r}")
-        return self.take()
-
-    def expect_keyword(self, word: str) -> _Token:
-        if self.current.kind != "KEYWORD" or self.current.text != word:
-            found = self.current.text or "end of line"
-            self._fail(f"expected '{word}', found {found!r}")
-        return self.take()
-
-    def at_keyword(self, word: str) -> bool:
-        return self.current.kind == "KEYWORD" and self.current.text == word
+        tok = self.current
+        if tok[0] != kind:
+            _, text, line, column = tok
+            raise RuleSyntaxError(Diagnostic(line, column, "syntax",
+                                             f"expected {what}, found {text or 'end of line'!r}"))
+        self.current = next(self._rest, tok)
+        return tok
 
     # condition grammar: or_expr := and_expr (OR and_expr)*
     #                    and_expr := primary (AND primary)*
     #                    primary := '(' or_expr ')' | IDENT IS IDENT
     def parse_condition(self) -> Condition:
         left = self._parse_and()
-        while self.at_keyword("OR"):
-            op = self.take()
-            right = self._parse_and()
-            left = BinOp("OR", left, right, pos=Span(op.line, op.column))
+        while self.current[0] == "OR":
+            _, _, line, column = self.take()
+            left = BinOp("OR", left, self._parse_and(), Span(line, column))
         return left
 
     def _parse_and(self) -> Condition:
         left = self._parse_primary()
-        while self.at_keyword("AND"):
-            op = self.take()
-            right = self._parse_primary()
-            left = BinOp("AND", left, right, pos=Span(op.line, op.column))
+        while self.current[0] == "AND":
+            _, _, line, column = self.take()
+            left = BinOp("AND", left, self._parse_primary(), Span(line, column))
         return left
 
     def _parse_primary(self) -> Condition:
-        if self.current.kind == "(":
+        if self.current[0] == "(":
             self.take()
             cond = self.parse_condition()
             self.expect(")", "')'")
             return cond
-        var = self.expect("IDENT", "a variable name")
-        self.expect_keyword("IS")
-        term = self.expect("IDENT", "a term name")
-        return Atom(var.text, term.text, pos=Span(var.line, var.column),
-                    term_pos=Span(term.line, term.column))
+        _, variable, line, column = self.expect("IDENT", "a variable name")
+        self.expect("IS", "'IS'")
+        _, term, term_line, term_column = self.expect("IDENT", "a term name")
+        return Atom(variable, term, Span(line, column), Span(term_line, term_column))
 
     def parse_rule_statement(self):
-        self.expect_keyword("RULE")
-        id_tok = self.expect("NUMBER", "a rule id")
+        self.expect("RULE", "'RULE'")
+        _, id_text, line, column = self.expect("NUMBER", "a rule id")
         weight = 1.0
         weight_tok = None
-        if self.at_keyword("WEIGHT"):
+        if self.current[0] == "WEIGHT":
             self.take()
             weight_tok = self.expect("NUMBER", "a weight")
-            weight = float(weight_tok.text)
+            weight = float(weight_tok[1])
         self.expect(":", "':'")
-        self.expect_keyword("IF")
+        self.expect("IF", "'IF'")
         antecedent = self.parse_condition()
-        self.expect_keyword("THEN")
+        self.expect("THEN", "'THEN'")
         consequent, items = self._parse_consequent_list()
         self.expect("EOL", "end of statement")
-        if "." in id_tok.text:
+        if "." in id_text:
             raise RuleValidationError(
-                Diagnostic(id_tok.line, id_tok.column, "semantic", "rule id must be an integer")
-            )
-        rule_id = int(id_tok.text)
-        rule = Rule(
-            id=rule_id,
-            antecedent=antecedent,
-            consequent=consequent,
-            weight=weight,
-            pos=Span(id_tok.line, id_tok.column),
-        )
+                Diagnostic(line, column, "semantic", "rule id must be an integer"))
+        rule = Rule(int(id_text), antecedent, consequent, weight, Span(line, column))
         return rule, items, weight_tok
 
     def _parse_consequent_list(self):
         items = [self.expect("IDENT", "an action or expression")]
-        while self.current.kind == ",":
+        while self.current[0] == ",":
             self.take()
             items.append(self.expect("IDENT", "an action or expression"))
         actions = []
         expression = None
-        for tok in items:
-            if tok.text in ACTIONS:
-                actions.append(tok.text)
-            elif tok.text in EXPRESSIONS:
+        for _, text, line, column in items:
+            if text in ACTIONS:
+                actions.append(text)
+            elif text in EXPRESSIONS:
                 if expression is not None:
                     raise RuleValidationError(
-                        Diagnostic(tok.line, tok.column, "semantic",
-                                   f"second expression {tok.text!r} (already {expression!r})")
+                        Diagnostic(line, column, "semantic",
+                                   f"second expression {text!r} (already {expression!r})")
                     )
-                expression = tok.text
+                expression = text
         return Consequent(frozenset(actions), expression), items
 
     def parse_var_statement(self) -> tuple[_Token, list[_Token]]:
-        self.expect_keyword("VAR")
+        self.expect("VAR", "'VAR'")
         name = self.expect("IDENT", "a variable name")
         self.expect(":", "':'")
         terms = [self.expect("IDENT", "a term name")]
-        while self.current.kind == ",":
+        while self.current[0] == ",":
             self.take()
             terms.append(self.expect("IDENT", "a term name"))
         self.expect("EOL", "end of statement")
@@ -297,20 +269,21 @@ def _validate_rule(rule: Rule, items, weight_tok, context: ParseContext) -> list
         problems.append(Diagnostic(pos.line, pos.column, "semantic",
                                    "rule id must be a positive integer"))
     if weight_tok is not None and not 0.0 < rule.weight <= 1.0:
-        problems.append(Diagnostic(weight_tok.line, weight_tok.column, "semantic",
+        problems.append(Diagnostic(weight_tok[2], weight_tok[3], "semantic",
                                    f"weight must be in (0, 1], got {rule.weight}"))
     check_cond(rule.antecedent)
 
     seen = set()
     known = set(ACTIONS) | set(EXPRESSIONS)
     for tok in items:
-        if tok.text not in known:
-            problems.append(Diagnostic(tok.line, tok.column, "semantic",
-                                       f"unknown action or expression {tok.text!r}"))
-        elif tok.text in seen:
-            problems.append(Diagnostic(tok.line, tok.column, "semantic",
-                                       f"duplicate consequent item {tok.text!r}"))
-        seen.add(tok.text)
+        _, text, line, column = tok
+        if text not in known:
+            problems.append(Diagnostic(line, column, "semantic",
+                                       f"unknown action or expression {text!r}"))
+        elif text in seen:
+            problems.append(Diagnostic(line, column, "semantic",
+                                       f"duplicate consequent item {text!r}"))
+        seen.add(text)
     return problems
 
 
@@ -360,21 +333,22 @@ def parse_rulebase(text: str) -> RuleBase:
             diagnostics.append(err.diagnostic)
             continue
         parser = _Parser(tokens)
+        kind, found, _, column = parser.current
         try:
-            if parser.at_keyword("VAR"):
-                name, terms = parser.parse_var_statement()
-                term_names = tuple(t.text for t in terms)
-                if name.text in context.variables:
+            if kind == "VAR":
+                (_, name, _, column), terms = parser.parse_var_statement()
+                term_names = tuple(t[1] for t in terms)
+                if name in context.variables:
                     diagnostics.append(Diagnostic(
-                        line_no, name.column, "semantic",
-                        f"variable {name.text!r} declared twice"))
+                        line_no, column, "semantic",
+                        f"variable {name!r} declared twice"))
                 elif len(set(term_names)) != len(term_names):
                     diagnostics.append(Diagnostic(
-                        line_no, name.column, "semantic",
-                        f"duplicate term in declaration of {name.text!r}"))
+                        line_no, column, "semantic",
+                        f"duplicate term in declaration of {name!r}"))
                 else:
-                    context.declare(name.text, term_names)
-            elif parser.at_keyword("RULE"):
+                    context.declare(name, term_names)
+            elif kind == "RULE":
                 rule, items, weight_tok = parser.parse_rule_statement()
                 problems = _validate_rule(rule, items, weight_tok, context)
                 if rule.id in seen_ids:
@@ -387,11 +361,9 @@ def parse_rulebase(text: str) -> RuleBase:
                 if not problems:
                     rules.append(rule)
             else:
-                tok = parser.current
-                found = tok.text or "end of line"
                 diagnostics.append(Diagnostic(
-                    line_no, tok.column, "syntax",
-                    f"expected 'VAR' or 'RULE', found {found!r}"))
+                    line_no, column, "syntax",
+                    f"expected 'VAR' or 'RULE', found {found or 'end of line'!r}"))
         except (RuleSyntaxError, RuleValidationError) as err:
             diagnostics.append(err.diagnostic)
 

@@ -1,6 +1,7 @@
 """End-to-end decision pipeline, arbitration invariants, and the event log."""
 
 import json
+import math
 import random
 
 import pytest
@@ -124,6 +125,24 @@ class TestThresholdSweep:
             lax_alerts += lax.decide(event).alerting
         assert lax_alerts > strict_alerts
 
+
+    @pytest.mark.parametrize("channel, probs", [
+        ("smile", (0.01, 0.95, 0.01, 0.01, 0.01, 0.01)),
+        ("call_nurses", (0.9, 0.02, 0.02, 0.02, 0.02, 0.02)),
+    ])
+    def test_a_channel_exactly_at_its_threshold_acts(self, engine, channel, probs):
+        event = make_event(probs=probs, sound=0.5, head=5.0)
+        value = engine.decide(event).c_o[channel]
+        assert 0.0 < value < 1.0
+
+        def acts(threshold):
+            thresholds = dict(engine.thresholds, **{channel: threshold})
+            decision = Engine.default(thresholds=thresholds).decide(event)
+            return decision.alerting if channel == "call_nurses" \
+                else decision.expression == "smile"
+
+        assert acts(value)
+        assert not acts(math.nextafter(value, 1.0))
 
 class TestDecisionModel:
     def test_record_data_mandatory(self):

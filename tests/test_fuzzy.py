@@ -1,9 +1,12 @@
 """Membership math, variable construction, fuzzification, valence."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carebot.errors import ValidationError
 from carebot.fuzzy import (EMOTION_LABELS, TRAPEZOIDAL, TRIANGULAR,
@@ -88,6 +91,31 @@ class TestMembershipFunctions:
         with pytest.raises(ValidationError, match="breakpoints"):
             MembershipFunction(shape=TRAPEZOIDAL, params=(0.0, 1.0, 2.0))
 
+
+    def test_rejects_breakpoints_too_far_apart_to_subtract(self):
+        with pytest.raises(ValidationError, match="span"):
+            triangle(-1e308, 0.0, 1e308)
+
+    # The rule kernel picks min and max with comparisons; that equals
+    # numpy's minimum and maximum only while no degree is NaN or -0.0.
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(breakpoints=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=3, max_size=4),
+           x=st.floats(allow_nan=False, allow_infinity=False),
+           near=st.sampled_from([None, 0, 1, 2, 3]))
+    @example(breakpoints=[-1.7e308, 1.7e308, 1.7e308], x=1e308, near=None)
+    def test_degree_is_never_nan_or_negative_zero(self, breakpoints, x, near):
+        params = tuple(sorted(breakpoints))
+        shape = TRIANGULAR if len(params) == 3 else TRAPEZOIDAL
+        try:
+            mf = MembershipFunction(shape, params)
+        except ValidationError:
+            return
+        if near is not None:  # on or just beside a breakpoint
+            x = math.nextafter(params[near % len(params)], x)
+        degree = membership_degree(mf, x)
+        assert 0.0 <= degree <= 1.0
+        assert math.copysign(1.0, degree) == 1.0
 
 class TestLinguisticVariables:
     def test_default_head_angle_anchors(self):

@@ -7,6 +7,7 @@ use it for ramp-pair channels, so neither builds a sample grid for them, and
 """
 
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -69,31 +70,39 @@ def test_clips_outside_the_unit_interval_clip_nothing_or_everything():
     assert ramp_wcog(-0.2, 0.4, 101) == ramp_wcog(0.0, 0.4, 101)
 
 
-def arrays_in(obj, seen=None):
-    """Every numpy array reachable from ``obj`` through attributes and containers."""
+def containers_in(obj, seen=None):
+    """Every list, tuple, dict and numpy array reachable from ``obj`` through
+    attributes, containers, and the constants and namespace of a generated
+    function (a module's globals are not followed)."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
     seen.add(id(obj))
     if isinstance(obj, np.ndarray):
         return [obj]
+    found = []
     if isinstance(obj, dict):
-        children = list(obj.values())
+        found, children = [obj], list(obj.values())
     elif isinstance(obj, (list, tuple)):
-        children = list(obj)
+        found, children = [obj], list(obj)
+    elif isinstance(obj, types.FunctionType):
+        namespace = {} if "__name__" in obj.__globals__ else obj.__globals__
+        children = list(obj.__code__.co_consts) + [
+            value for name, value in namespace.items() if name != "__builtins__"]
     elif hasattr(obj, "__dict__"):
         children = list(vars(obj).values())
     else:
         return []
-    return [a for child in children for a in arrays_in(child, seen)]
+    return found + [c for child in children for c in containers_in(child, seen)]
 
 
 def test_stock_engine_holds_no_per_sample_array():
     resolution = 10 ** 6
     engine = Engine.default(resolution=resolution)
-    arrays = arrays_in(engine.compiled)
-    assert arrays, "the compiled rule tables are numpy arrays"
-    assert max(a.size for a in arrays) < 100
+    sizes = [c.size if isinstance(c, np.ndarray) else len(c)
+             for c in containers_in(engine.compiled)]
+    assert sizes
+    assert max(sizes) < 100
     coarse = Engine.default().decide(EVENT)
     fine = engine.decide(EVENT)
     assert fine.actions == coarse.actions
