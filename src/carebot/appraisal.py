@@ -89,6 +89,10 @@ def fuse(weights: AppraisalWeights, acts: ChannelActivations) -> CognitiveOutput
     return CognitiveOutput(c_o=c_o, weights=weights, provenance=provenance)
 
 
+# What a valence outside [-1, 1] raises, formatted with the valence.
+VALENCE_RANGE = "valence must be in [-1, 1], got {}"
+
+
 def ea_activations(valence: float, emotion_probs) -> dict[str, float]:
     """Emotion-appraisal channel: alert tracks negative valence, smiling
     tracks positive valence, and recording is unconditional.
@@ -98,7 +102,7 @@ def ea_activations(valence: float, emotion_probs) -> dict[str, float]:
     is used.
     """
     if not -1.0 <= valence <= 1.0:
-        raise ValidationError(f"valence must be in [-1, 1], got {valence}")
+        raise ValidationError(VALENCE_RANGE.format(valence))
     return {
         "call_nurses": max(0.0, -valence),
         "smile": max(0.0, valence),

@@ -4,8 +4,9 @@ The engine turns one perception event into one discrete decision through a
 fixed pipeline: fuzzify the crisp inputs, fire the rule base, combine and
 defuzzify each action channel, blend the three appraisal routes, threshold
 the fused activations, and arbitrate conflicts (alerting outranks affect
-display). The rule base is compiled once, when the engine is built. Every
-decision is written to a line-delimited log that is only ever appended to.
+display). The whole pipeline is generated as one Python function and
+compiled once, when the engine is built. Every decision is written to a
+line-delimited log that is only ever appended to.
 """
 
 import json
@@ -14,13 +15,12 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from .appraisal import (AppraisalWeights, DEFAULT_WEIGHTS, ea_activations,
-                        fuse_channel, perception_activations)
+from .appraisal import VALENCE_RANGE, AppraisalWeights, DEFAULT_WEIGHTS
 from .errors import ConfigError, Diagnostic, ValidationError, decode_json_line, is_number
-from .fuzzy import LinguisticVariable, default_input_variables, membership_degree
-from .inference import (ACTION_CHANNELS, DEFAULT_RESOLUTION, CompiledRules,
-                        check_resolution)
+from .fuzzy import LinguisticVariable, default_input_variables, degree_source
+from .inference import ACTION_CHANNELS, DEFAULT_RESOLUTION, check_resolution, rule_kernel
 from .perception import PerceptionEvent
 from .rules import ACTIONS, EXPRESSIONS, RuleBase, default_rulebase
 
@@ -69,12 +69,87 @@ class BehaviorDecision:
         return "call_nurses" in self.actions
 
 
+def _decide_source(engine: "Engine") -> tuple[str, dict]:
+    """Python source of ``decide(event)`` for ``engine``, and its globals.
+
+    The function makes the stage functions' decision with the same float
+    operations, bit for bit. Per input variable, in slot order (variables
+    sorted by name, terms in declaration order), it reads the event field,
+    clamps it to the universe with conditionals that give
+    ``min(max(x, lo), hi)`` and records the variable's name if that moved
+    it, and computes each term's degree as :func:`~carebot.fuzzy.degree_source`
+    writes it. Then come the rule kernel's lines (:func:`rule_kernel`); the
+    emotion route of ``ea_activations``, its valence check included; the
+    perception route of ``perception_activations``; ``fuse_channel``'s
+    weighted sum in its operand order; and the thresholds and arbitration.
+    The event was checked when it was built and is not checked again.
+
+    Only slot indices, ``repr(float(v))`` of breakpoints, bounds, weights and
+    thresholds, and the fixed names of ``ACTION_CHANNELS``, ``ACTIONS``,
+    ``EXPRESSIONS`` and ``EVENT_INPUTS`` enter the text.
+    """
+    lines = ["    clamped = ()"]
+    slots: dict[tuple[str, str], int] = {}
+    raw = {}  # input variable -> the local holding its unclamped event value
+    # The engine's inputs are exactly EVENT_INPUTS; the names are taken from there.
+    for i, name in enumerate(sorted(EVENT_INPUTS)):
+        var = engine.input_variables[name]
+        raw[name] = f"e{i}"
+        lo, hi = (repr(float(bound)) for bound in var.universe)
+        lines += [f"    x{i} = e{i} = event.{EVENT_INPUTS[name]}",
+                  f"    if x{i} < {lo}:", f"        x{i} = {lo}", f"        clamped += ({name!r},)",
+                  f"    elif x{i} > {hi}:", f"        x{i} = {hi}", f"        clamped += ({name!r},)"]
+        for term, mf in var.terms:
+            slots[(name, term)] = slot = len(slots)
+            lines.append(f"    d{slot} = {degree_source(mf, f'x{i}')}")
+    kernel, namespace = rule_kernel(engine.rulebase, slots, engine.resolution)
+    lines += kernel
+
+    # The routes as conditionals that give what max(a, b) gives: a unless b > a.
+    valence = raw["emotion"]
+    routes = {"call_nurses": (f"(-{valence} if {valence} < 0.0 else 0.0)",
+                              "(turned if turned > quiet else quiet)"),
+              "record_data": ("1.0", "1.0"),
+              "smile": (f"({valence} if {valence} > 0.0 else 0.0)", "0.0")}
+    w_ea, w_fkbs, w_p = (repr(float(w)) for w in
+                         (engine.weights.w_ea, engine.weights.w_fkbs, engine.weights.w_p))
+    lines += [f"    if not -1.0 <= {valence} <= 1.0:",
+              f"        raise ValidationError(VALENCE_RANGE.format({valence}))",
+              f"    quiet = 1.0 - {raw['sound']}",
+              f"    turned = 1.0 - d{slots[('head_angle', 'normal')]}"]
+    for c, channel in enumerate(ACTION_CHANNELS):
+        ea, p = routes[channel]
+        lines.append(f"    c{c} = {w_ea} * {ea} + {w_fkbs} * f{c} + {w_p} * {p}")
+
+    # record_data is unconditional: every stock rule logs, and a care record
+    # with holes is worse than a noisy one. An alert adds call_nurses and
+    # no_action and rules out the smile.
+    alert = tuple(a for a in ACTIONS if a in ("no_action", "call_nurses", "record_data"))
+    call, smile = ACTION_CHANNELS.index("call_nurses"), ACTION_CHANNELS.index("smile")
+    lines += [f"    if c{call} >= {float(engine.thresholds['call_nurses'])!r}:",
+              f"        actions, expression = {alert!r}, 'neutral'",
+              "    else:",
+              "        actions = ('record_data',)",
+              f"        expression = 'smile' if c{smile} >= "
+              f"{float(engine.thresholds['smile'])!r} else 'neutral'"]
+    c_o = ", ".join(f"{channel!r}: c{c}" for c, channel in enumerate(ACTION_CHANNELS))
+    degenerate = ", ".join(f"{channel!r}: t{c} == 0.0" for c, channel in enumerate(ACTION_CHANNELS))
+    lines += ["    return BehaviorDecision(event.timestamp, event.subject_id, actions, expression,",
+              f"                            fired, {{{c_o}}},",
+              f"                            {{{degenerate}}},",
+              f"                            clamped, {valence})"]
+    namespace.update(BehaviorDecision=BehaviorDecision, ValidationError=ValidationError,
+                     VALENCE_RANGE=VALENCE_RANGE)
+    return "def decide(event):\n" + "\n".join(lines) + "\n", namespace
+
+
 @dataclass(frozen=True)
 class Engine:
     """Validated bundle of everything decide() needs, plus decide() itself.
 
-    Frozen, so the tables built with it cannot go stale: the compiled rules
-    and, in their slot order, each input's event field, bounds and terms.
+    Frozen, so the function generated from it cannot go stale: ``source``
+    is the text of ``decide(event)`` (see :func:`_decide_source`) and
+    ``compiled`` that function, compiled once when the engine is built.
     """
 
     rulebase: RuleBase
@@ -82,9 +157,9 @@ class Engine:
     weights: AppraisalWeights = DEFAULT_WEIGHTS
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
     resolution: int = DEFAULT_RESOLUTION
-    compiled: CompiledRules = field(init=False, repr=False, compare=False)
-    fuzzify_table: tuple = field(init=False, repr=False, compare=False)
-    head_normal_slot: int = field(init=False, repr=False, compare=False)
+    source: str = field(init=False, repr=False, compare=False)
+    compiled: Callable[[PerceptionEvent], BehaviorDecision] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.thresholds) != set(ACTION_CHANNELS):
@@ -114,12 +189,10 @@ class Engine:
         if "normal" not in self.input_variables["head_angle"].term_names:
             raise ConfigError("variable 'head_angle' needs a 'normal' term, "
                               "which the perception route reads")
-        compiled = CompiledRules(self.rulebase, self.input_variables, self.resolution)
-        object.__setattr__(self, "compiled", compiled)
-        object.__setattr__(self, "fuzzify_table", tuple(
-            (name, EVENT_INPUTS[name], *var.universe, tuple(mf for _, mf in var.terms))
-            for name, var in compiled.inputs))
-        object.__setattr__(self, "head_normal_slot", compiled.slot_of[("head_angle", "normal")])
+        source, namespace = _decide_source(self)
+        exec(compile(source, "<compiled decide>", "exec"), namespace)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "compiled", namespace["decide"])
 
     @classmethod
     def default(cls, weights: AppraisalWeights = DEFAULT_WEIGHTS,
@@ -135,53 +208,9 @@ class Engine:
         )
 
     def decide(self, event: PerceptionEvent) -> BehaviorDecision:
-        """The stage functions' decision, bit for bit, in one pass: each input
-        is clamped as ``fuzzify`` clamps it, its degrees go straight into the
-        kernel's slots, and the routes blend by :func:`fuse_channel`. The
-        event was checked when it was built and is not checked again.
-        """
-        degrees = []
-        clamped = []
-        for name, attr, lo, hi, mfs in self.fuzzify_table:
-            x = getattr(event, attr)
-            at = min(max(x, lo), hi)
-            if at != x:
-                clamped.append(name)
-            for mf in mfs:
-                degrees.append(membership_degree(mf, at))
-        fired, x_fkbs, degenerate = self.compiled.evaluate(degrees)
-
-        valence = event.valence
-        x_ea = ea_activations(valence, event.emotion_probs)
-        x_p = perception_activations(event.sound_norm, degrees[self.head_normal_slot])
-        weights = self.weights
-        c_o = {channel: fuse_channel(weights, x_ea[channel], x_fkbs[channel], x_p[channel])
-               for channel in ACTION_CHANNELS}
-
-        # record_data is unconditional: every stock rule logs, and a care
-        # record with holes is worse than a noisy one.
-        chosen = {"record_data"}
-        if c_o["call_nurses"] >= self.thresholds["call_nurses"]:
-            chosen.add("call_nurses")
-            chosen.add("no_action")
-        actions = tuple(a for a in ACTIONS if a in chosen)
-
-        if "call_nurses" not in chosen and c_o["smile"] >= self.thresholds["smile"]:
-            expression = "smile"
-        else:
-            expression = "neutral"
-
-        return BehaviorDecision(
-            timestamp=event.timestamp,
-            subject_id=event.subject_id,
-            actions=actions,
-            expression=expression,
-            fired_rules=fired,
-            c_o=c_o,
-            degenerate_flags=degenerate,
-            clamped_inputs=tuple(clamped),
-            valence=valence,
-        )
+        """The stage functions' decision for ``event``, bit for bit, from the
+        function generated when the engine was built."""
+        return self.compiled(event)
 
 
 def decision_record(event: PerceptionEvent, decision: BehaviorDecision) -> dict:

@@ -83,6 +83,28 @@ def membership_degree(mf: MembershipFunction, x: float) -> float:
     return (c - x) / (c - hi)
 
 
+def degree_source(mf: MembershipFunction, x: str) -> str:
+    """A Python expression for :func:`membership_degree` of ``mf`` at the
+    finite float named ``x``, with the same comparisons and float operations.
+
+    The breakpoints enter as ``repr(float(p))``. An edge the function cannot
+    reach (a == b, or c == d) is left out.
+    """
+    if mf.shape == TRIANGULAR:
+        a, b, c = (repr(float(p)) for p in mf.params)
+        lo, hi = b, b
+    else:
+        a, lo, hi, c = (repr(float(p)) for p in mf.params)
+    rising = f"({x} - {a}) / ({lo} - {a})" if mf.params[0] < mf.params[1] else None
+    falling = f"({c} - {x}) / ({c} - {hi})" if mf.params[-2] < mf.params[-1] else None
+    if rising and falling:
+        edge = f"{rising} if {x} < {lo} else {falling}"
+    else:
+        edge = rising or falling
+    inside = f"1.0 if {lo} <= {x} <= {hi} else {edge}" if edge else "1.0"
+    return f"0.0 if {x} < {a} or {x} > {c} else {inside}"
+
+
 def membership_grid(mf: MembershipFunction, xs):
     """Vectorized :func:`membership_degree` over a numpy sample grid."""
     import numpy as np

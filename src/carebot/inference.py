@@ -17,11 +17,11 @@ For that low/high ramp pair the sampled sums have a closed form
 (:func:`ramp_wcog`) whose cost does not depend on the number of samples;
 any other output variable is sampled on its grid.
 
-:class:`CompiledRules` is what an engine runs per event: the rule base
-generated once into one straight-line Python function. ``fire_rules``,
-``aggregate`` and ``defuzzify_wcog`` are the same stages one at a time, for
-any output variable; on the stock ones the compiled form gives
-bit-identical results.
+:func:`rule_kernel` is what an engine runs per event: the rule base written
+once, when the engine is built, as straight-line Python source for the
+engine's generated ``decide``. ``fire_rules``, ``aggregate`` and
+``defuzzify_wcog`` are the same stages one at a time, for any output
+variable; on the stock ones the generated form gives bit-identical results.
 """
 
 import math
@@ -30,7 +30,7 @@ from itertools import compress
 
 from .errors import ConfigError, EvaluationError
 from .fuzzy import FuzzifiedValue, LinguisticVariable, membership_grid, trapezoid
-from .rules import Atom, Condition, Consequent, Rule, RuleBase
+from .rules import MAX_CONDITION_DEPTH, Atom, Condition, Consequent, Rule, RuleBase
 
 DEFAULT_RESOLUTION = 1001
 # Above 2**53, N * l no longer names a grid index exactly (see ramp_wcog).
@@ -258,21 +258,39 @@ def defuzzify_wcog(agg: AggregatedOutput, var: LinguisticVariable,
     return CrispOutput(var.name, min(max(moment / total, lo), hi), degenerate=False)
 
 
-def _kernel_source(rules: list[Rule], slots: dict[tuple[str, str], int]) -> str:
-    """Python source of ``evaluate(degrees)`` for rules sorted by id.
+def rule_kernel(rulebase: RuleBase, slots: dict[tuple[str, str], int],
+                resolution: int) -> tuple[list[str], dict]:
+    """Python source lines that run ``rulebase`` on term degrees, and the
+    globals those lines read.
+
+    The lines read the degree of (input variable, term) from the local
+    ``d<slot>`` named by ``slots``. They leave in ``fired`` the fired rules,
+    (id, strength) pairs with strength > 0 by id; in ``f<c>`` the crisp value
+    of channel ``ACTION_CHANNELS[c]``; and in ``t<c>`` its membership mass.
+    A channel with no mass (``t<c> == 0.0``) is degenerate and reads 0.0.
+
+    This is what ``fire_rules``, ``aggregate`` and ``defuzzify_wcog`` do on
+    ``default_output_variables()``, with the same float operations. Each
+    distinct AND/OR node, its operands taken in either order, is one local
+    ``n = a if a <= b else b`` (OR ``>=``), so repeated subtrees are
+    computed once; a node over two equal operands is that operand. Each
+    (channel, ramp term) is one ``max(0.0, ...)`` of its asserting rules'
+    clips, a clip repeated within it listed once, and ``s * w`` equals
+    ``min(s, 1) * w`` as s <= 1 (the product is left out where w is 1).
+    Every channel calls :func:`ramp_wcog`. All of this is exact: degrees are
+    never NaN or -0.0, and on such values min and max do not depend on
+    operand order or repetition.
 
     Only slot indices, ``repr`` of float weights and the channel names of
     ``ACTION_CHANNELS`` enter the text; the rule ids are the global ``IDS``.
-    Each distinct AND/OR node, its operands taken in either order, is one
-    local, so repeated subtrees are computed once; a node over two equal
-    operands is that operand, and a clip repeated within one term's max is
-    listed once. All of this is exact: on values that are never NaN or
-    -0.0, min and max do not depend on operand order or repetition.
     """
-    lines = [f"    {''.join(f'd{i}, ' for i in range(len(slots)))}= degrees"] if slots else []
+    rules = sorted(rulebase.rules, key=lambda r: r.id)
+    lines = []
     local_of: dict[tuple[str, str, str], str] = {}
 
-    def ref(node: Condition) -> str:
+    def ref(node: Condition, depth: int = 0) -> str:
+        if depth > MAX_CONDITION_DEPTH:  # a condition built in Python, not parsed
+            raise ConfigError(f"a condition is nested deeper than {MAX_CONDITION_DEPTH} levels")
         if isinstance(node, Atom):
             slot = slots.get((node.variable, node.term))
             if slot is None:
@@ -281,7 +299,7 @@ def _kernel_source(rules: list[Rule], slots: dict[tuple[str, str], int]) -> str:
                     f"which no input variable defines"
                 )
             return f"d{slot}"
-        left, right = ref(node.left), ref(node.right)
+        left, right = ref(node.left, depth + 1), ref(node.right, depth + 1)
         if left == right:  # min(a, a) and max(a, a) are a
             return left
         if right < left:
@@ -295,6 +313,7 @@ def _kernel_source(rules: list[Rule], slots: dict[tuple[str, str], int]) -> str:
 
     strengths = [ref(rule.antecedent) for rule in rules]
     lines.append(f"    strengths = ({''.join(f'{s}, ' for s in strengths)})")
+    lines.append("    fired = tuple(compress(zip(IDS, strengths), strengths))")
     # terms[(channel, ramp term)]: what each asserting rule clips that term at.
     terms: dict[tuple[str, str], list[str]] = {}
     channel_of = {variable: channel for channel, variable in CHANNEL_OUTPUTS.items()}
@@ -305,53 +324,19 @@ def _kernel_source(rules: list[Rule], slots: dict[tuple[str, str], int]) -> str:
         clip = strength if weight == 1.0 else f"{strength} * {weight!r}"
         for variable, term in consequent_assertions(rule.consequent):
             terms.setdefault((channel_of[variable], term), []).append(clip)
-    crisp, degenerate = [], []
     for c, channel in enumerate(ACTION_CHANNELS):
         low, high = (f"max(0.0, {', '.join(dict.fromkeys(terms[(channel, term)]))})"
                      if (channel, term) in terms else "0.0" for term, _ in RAMP_TERMS)
         lines.append(f"    t{c}, m{c} = ramp_wcog({low}, {high}, RESOLUTION)")
-        crisp.append(f"{channel!r}: 0.0 if t{c} == 0.0 else min(max(m{c} / t{c}, 0.0), 1.0)")
-        degenerate.append(f"{channel!r}: t{c} == 0.0")
-    lines.append("    return (tuple(compress(zip(IDS, strengths), strengths)),")
-    lines.append(f"            {{{', '.join(crisp)}}},")
-    lines.append(f"            {{{', '.join(degenerate)}}})")
-    return "def evaluate(degrees):\n" + "\n".join(lines) + "\n"
-
-
-class CompiledRules:
-    """A rule base compiled for one engine over the stock ramp channels.
-
-    Built once from values that do not change over the engine's lifetime:
-
-    - one term-degree slot per (input variable, term), variables in sorted
-      order and terms in declaration order (``slot_of``);
-    - ``source``: one generated Python function of the degree list (see
-      :func:`_kernel_source`), compiled into ``evaluate``: a conditional
-      per distinct AND/OR node, ``max(0.0, ...)`` of ``s * w`` per
-      (channel, ramp term) and :func:`ramp_wcog` per channel.
-
-    ``evaluate(degrees)`` then does per event what ``fire_rules``,
-    ``aggregate`` and ``defuzzify_wcog`` do on ``default_output_variables()``,
-    with the same float operations: min and max are exact (degrees are never
-    NaN or -0.0, so the conditionals pick the value ``min`` and ``max``
-    would), ``s * w`` equals ``min(s, 1) * w`` as s <= 1, and every channel
-    calls the same :func:`ramp_wcog`. Degrees in slot order go in, and out
-    come the fired rules, (id, strength) pairs with strength > 0 by id; the
-    crisp value per channel; and its degenerate flag. A channel with no
-    membership mass is degenerate and reads 0.0.
-    """
-
-    def __init__(self, rulebase: RuleBase, input_variables: dict[str, LinguisticVariable],
-                 resolution: int):
-        self.inputs = tuple(sorted(input_variables.items()))
-        slots = {}
-        for name, var in self.inputs:
-            for term in var.term_names:
-                slots[(name, term)] = len(slots)
-        self.slot_of = slots
-        rules = sorted(rulebase.rules, key=lambda r: r.id)
-        self.source = _kernel_source(rules, slots)
-        namespace = {"IDS": tuple(rule.id for rule in rules), "RESOLUTION": resolution,
-                     "compress": compress, "ramp_wcog": ramp_wcog}
-        exec(compile(self.source, "<compiled rules>", "exec"), namespace)
-        self.evaluate = namespace["evaluate"]
+        # min(max(m / t, 0.0), 1.0) as conditionals, which give the same value.
+        lines += [f"    if t{c} == 0.0:",
+                  f"        f{c} = 0.0",
+                  "    else:",
+                  f"        f{c} = m{c} / t{c}",
+                  f"        if f{c} < 0.0:",
+                  f"            f{c} = 0.0",
+                  f"        elif f{c} > 1.0:",
+                  f"            f{c} = 1.0"]
+    namespace = {"IDS": tuple(rule.id for rule in rules), "RESOLUTION": resolution,
+                 "compress": compress, "ramp_wcog": ramp_wcog}
+    return lines, namespace

@@ -25,6 +25,11 @@ from .errors import Diagnostic, RuleBaseError, RuleSyntaxError, RuleValidationEr
 ACTIONS = ("no_action", "call_nurses", "record_data")
 EXPRESSIONS = ("neutral", "smile")
 
+# The most AND/OR operators and parentheses a condition may nest around any
+# atom. Everything that walks a condition recurses once per level, so a
+# parsed rule stays far from the interpreter's recursion limit.
+MAX_CONDITION_DEPTH = 100
+
 _KEYWORDS = frozenset({"RULE", "VAR", "IF", "THEN", "IS", "AND", "OR", "WEIGHT"})
 
 # One match per token, whitespace before it skipped. The NUMBER group is
@@ -139,6 +144,11 @@ def _tokenize(text: str, line_no: int) -> list[_Token]:
     return tokens
 
 
+def _too_deep(tok: _Token) -> RuleSyntaxError:
+    return RuleSyntaxError(Diagnostic(
+        tok[2], tok[3], "syntax", f"condition nested deeper than {MAX_CONDITION_DEPTH} levels"))
+
+
 class _Parser:
     """Recursive-descent parser over one statement's token list."""
 
@@ -163,30 +173,48 @@ class _Parser:
     # condition grammar: or_expr := and_expr (OR and_expr)*
     #                    and_expr := primary (AND primary)*
     #                    primary := '(' or_expr ')' | IDENT IS IDENT
+    # Each method returns the condition and its depth: the most operators and
+    # parentheses around any one of its atoms.
     def parse_condition(self) -> Condition:
-        left = self._parse_and()
+        return self._parse_or(0)[0]
+
+    def _parse_or(self, parens: int) -> tuple[Condition, int]:
+        left, depth = self._parse_and(parens)
         while self.current[0] == "OR":
-            _, _, line, column = self.take()
-            left = BinOp("OR", left, self._parse_and(), Span(line, column))
-        return left
+            op = self.take()
+            right, right_depth = self._parse_and(parens)
+            depth = 1 + (depth if depth >= right_depth else right_depth)
+            if depth > MAX_CONDITION_DEPTH:
+                raise _too_deep(op)
+            left = BinOp("OR", left, right, Span(op[2], op[3]))
+        return left, depth
 
-    def _parse_and(self) -> Condition:
-        left = self._parse_primary()
+    def _parse_and(self, parens: int) -> tuple[Condition, int]:
+        left, depth = self._parse_primary(parens)
         while self.current[0] == "AND":
-            _, _, line, column = self.take()
-            left = BinOp("AND", left, self._parse_primary(), Span(line, column))
-        return left
+            op = self.take()
+            right, right_depth = self._parse_primary(parens)
+            depth = 1 + (depth if depth >= right_depth else right_depth)
+            if depth > MAX_CONDITION_DEPTH:
+                raise _too_deep(op)
+            left = BinOp("AND", left, right, Span(op[2], op[3]))
+        return left, depth
 
-    def _parse_primary(self) -> Condition:
+    def _parse_primary(self, parens: int) -> tuple[Condition, int]:
         if self.current[0] == "(":
-            self.take()
-            cond = self.parse_condition()
+            paren = self.take()
+            # Checked on the way down too, so the recursion stops at the limit.
+            if parens >= MAX_CONDITION_DEPTH:
+                raise _too_deep(paren)
+            cond, depth = self._parse_or(parens + 1)
             self.expect(")", "')'")
-            return cond
+            if depth >= MAX_CONDITION_DEPTH:
+                raise _too_deep(paren)
+            return cond, depth + 1
         _, variable, line, column = self.expect("IDENT", "a variable name")
         self.expect("IS", "'IS'")
         _, term, term_line, term_column = self.expect("IDENT", "a term name")
-        return Atom(variable, term, Span(line, column), Span(term_line, term_column))
+        return Atom(variable, term, Span(line, column), Span(term_line, term_column)), 0
 
     def parse_rule_statement(self):
         self.expect("RULE", "'RULE'")
@@ -317,13 +345,17 @@ def parse_condition(text: str, context: ParseContext) -> Condition:
 
 
 def parse_rulebase(text: str) -> RuleBase:
-    """Parse a full rule file; raises :class:`RuleBaseError` with every problem found."""
+    """Parse a full rule file; raises :class:`RuleBaseError` with every problem found.
+
+    Lines end at ``\\n`` only (:func:`~carebot.errors.read_utf8` has already
+    read ``\\r\\n`` and ``\\r`` as ``\\n``); any other line separator is text.
+    """
     context = ParseContext()
     rules: list[Rule] = []
     diagnostics: list[Diagnostic] = []
     seen_ids: dict[int, int] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

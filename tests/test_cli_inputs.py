@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carebot.cli import main, shown_id
-from carebot.rules import DEFAULT_RULES_TEXT
+from carebot.rules import DEFAULT_RULES_TEXT, MAX_CONDITION_DEPTH
 
 FIXTURE = ("# claimed_overall: 58.3\n"
            "label\tanger\thappiness\n"
@@ -71,6 +71,26 @@ class TestRuleFileBytes:
         _, reference, _ = run(capsys, "check", "--rules",
                               write(tmp_path / "lf.fkb", DEFAULT_RULES_TEXT.encode()))
         assert out == reference
+
+
+class TestDeepConditions:
+    @pytest.mark.parametrize("condition", [
+        " AND ".join(["sound IS low"] * 1200),
+        "(" * 1200 + "sound IS low" + ")" * 1200,
+    ], ids=["chain", "parens"])
+    def test_are_a_positioned_data_error(self, capsys, tmp_path, nine_rules_trace_path,
+                                         condition):
+        path = write(tmp_path / "deep.fkb",
+                     f"VAR sound: low\nRULE 1: IF {condition} THEN record_data\n".encode())
+        message = f"syntax: condition nested deeper than {MAX_CONDITION_DEPTH} levels\n"
+        code, _, err = run(capsys, "check", "--rules", path)
+        assert code == 3
+        assert err.startswith(f"{path}:line 2, col ") and err.endswith(message)
+        code, _, err = run(capsys, "simulate", "--trace", nine_rules_trace_path,
+                           "--rules", path, "--deterministic")
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestFixtureValues:

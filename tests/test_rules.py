@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from carebot.errors import RuleBaseError, RuleValidationError
-from carebot.rules import (Atom, BinOp, ParseContext, default_rulebase,
+from carebot.errors import Diagnostic, RuleBaseError, RuleSyntaxError, RuleValidationError
+from carebot.rules import (MAX_CONDITION_DEPTH, Atom, BinOp, ParseContext, default_rulebase,
                            parse_condition, parse_rule, parse_rulebase,
                            serialize_rule, serialize_rulebase)
 from oracles import random_rulebase_text
@@ -176,6 +176,67 @@ class TestMalformedCorpus:
         diag = diag_of(exc.value)
         assert diag.line == 2
         assert diag.column == 21  # first character of "loud"
+
+
+def chained(atoms: int) -> str:
+    return " AND ".join(["sound IS low"] * atoms)
+
+
+def nested(parens: int, inner: str = "sound IS low") -> str:
+    return "(" * parens + inner + ")" * parens
+
+
+class TestDeepConditions:
+    """A condition may nest at most MAX_CONDITION_DEPTH operators and
+    parentheses around any atom; a deeper one is a positioned syntax
+    diagnostic, not a RecursionError."""
+
+    HEAD = "VAR sound: low\nRULE 1: IF "
+
+    def diagnostics(self, condition):
+        with pytest.raises(RuleBaseError) as exc:
+            parse_rulebase(f"{self.HEAD}{condition} THEN record_data\n")
+        return exc.value.diagnostics
+
+    def test_the_limit_is_accepted(self):
+        for condition in (chained(MAX_CONDITION_DEPTH + 1), nested(MAX_CONDITION_DEPTH),
+                          nested(MAX_CONDITION_DEPTH - 1, "sound IS low OR sound IS low")):
+            rb = parse_rulebase(f"{self.HEAD}{condition} THEN record_data\n")
+            assert parse_rulebase(serialize_rulebase(rb)) == rb
+
+    @pytest.mark.parametrize("atoms", [MAX_CONDITION_DEPTH + 2, 1200])
+    def test_a_long_chain_is_rejected_at_the_operator_past_the_limit(self, atoms):
+        condition = chained(atoms)
+        column = len("RULE 1: IF ") + len(chained(MAX_CONDITION_DEPTH + 1)) + 2
+        assert self.diagnostics(condition) == [Diagnostic(
+            2, column, "syntax", f"condition nested deeper than {MAX_CONDITION_DEPTH} levels")]
+
+    @pytest.mark.parametrize("parens", [MAX_CONDITION_DEPTH + 1, 1200])
+    def test_deep_parentheses_are_rejected_at_the_one_past_the_limit(self, parens):
+        assert self.diagnostics(nested(parens)) == [Diagnostic(
+            2, len("RULE 1: IF ") + MAX_CONDITION_DEPTH + 1, "syntax",
+            f"condition nested deeper than {MAX_CONDITION_DEPTH} levels")]
+
+    def test_operators_and_parentheses_count_together(self):
+        diagnostic, = self.diagnostics(nested(MAX_CONDITION_DEPTH, "sound IS low OR sound IS low"))
+        assert (diagnostic.line, diagnostic.column) == (2, len("RULE 1: IF ") + 1)
+
+    def test_standalone_conditions_and_rules_are_limited_too(self):
+        with pytest.raises(RuleSyntaxError, match="nested deeper"):
+            parse_condition(chained(1200), CONTEXT)
+        with pytest.raises(RuleSyntaxError, match="nested deeper"):
+            parse_rule(f"RULE 1: IF {nested(1200)} THEN record_data", CONTEXT)
+
+
+def test_only_a_line_feed_ends_a_line():
+    text = ("VAR sound: low\n"
+            "# a comment\u2028more of it\x85and\x0cmore\n"
+            "RULE 1: IF sound IS low THEN record_data\n"
+            "RULE 2: IF sound IS loud THEN record_data\n")
+    with pytest.raises(RuleBaseError) as exc:
+        parse_rulebase(text)
+    assert exc.value.diagnostics == [Diagnostic(
+        4, 21, "semantic", "unknown term 'loud' for variable 'sound'")]
 
 
 class TestSerialization:
